@@ -1,10 +1,9 @@
 // Design-space explorer throughput probe: a few-hundred-thousand-candidate
 // heterogeneous space (per-chiplet node assignment over three nodes, four
 // packagings, up to ten chiplets) is enumerated, pruned and evaluated three
-// ways — the scalar per-candidate reference path, the SoA kernel path forced
-// to each CPU level the host supports, and the kernel path parallel — with
-// every ranking checked bit-identical against the reference before any
-// timing is reported.  Like the other bench_* probes this has no
+// ways — the scalar per-candidate reference path, the SoA kernel path
+// serial, and the kernel path parallel — with every ranking checked
+// bit-identical against the reference before any timing is reported.  Like the other bench_* probes this has no
 // Google-Benchmark dependency; bench/run_benches.sh runs it and collects
 // BENCH_design_space.json.
 //
@@ -14,7 +13,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,7 +20,6 @@
 #include "core/actuary.h"
 #include "explore/design_space.h"
 #include "explore/study_json.h"
-#include "kernels/isa.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -51,8 +48,8 @@ chiplet::explore::DesignSpaceConfig build_space() {
 }
 
 /// The determinism contract measured at the surface: identical space
-/// accounting and a bit-identical top-K ranking, whatever the path, ISA
-/// or pool size.
+/// accounting and a bit-identical top-K ranking, whatever the path or
+/// pool size.
 bool identical_results(const chiplet::explore::DesignSpaceResult& a,
                        const chiplet::explore::DesignSpaceResult& b) {
     bool same = a.total_candidates == b.total_candidates &&
@@ -95,37 +92,8 @@ int main(int argc, char** argv) {
     const double reference_cps =
         reference_s > 0.0 ? static_cast<double>(space) / reference_s : 0.0;
 
-    // Kernel path forced to each CPU level the host supports, serial.
-    bool identical = true;
-    struct IsaRun {
-        kernels::Isa isa;
-        double wall_s = 0.0;
-        double cps = 0.0;
-    };
-    std::vector<IsaRun> isa_runs;
-    for (kernels::Isa isa : kernels::supported_isas()) {
-        kernels::force_isa(isa);
-        start = Clock::now();
-        const explore::DesignSpaceResult forced =
-            explore::explore_design_space(actuary, config);
-        IsaRun run;
-        run.isa = isa;
-        run.wall_s = seconds_since(start);
-        run.cps = run.wall_s > 0.0 ? static_cast<double>(space) / run.wall_s
-                                   : 0.0;
-        isa_runs.push_back(run);
-        if (!identical_results(reference, forced)) {
-            identical = false;
-            std::cerr << "error: kernel path at "
-                      << kernels::to_string(isa)
-                      << " diverges from the scalar reference\n";
-        }
-    }
-    kernels::clear_forced_isa();
-    const kernels::Isa active = kernels::active_isa();
-
-    // Kernel path at the natively-dispatched level: serial, then parallel.
-    ThreadPool::set_global_threads(1);
+    // Kernel path: one untimed warm-up pass, then serial and parallel.
+    (void)explore::explore_design_space(actuary, config);
     start = Clock::now();
     const explore::DesignSpaceResult serial =
         explore::explore_design_space(actuary, config);
@@ -137,11 +105,10 @@ int main(int argc, char** argv) {
         explore::explore_design_space(actuary, config);
     const double parallel_s = seconds_since(start);
 
-    if (!identical_results(reference, serial) ||
-        !identical_results(reference, parallel)) {
-        identical = false;
-        std::cerr << "error: natively-dispatched kernel path diverges from "
-                     "the scalar reference\n";
+    const bool identical = identical_results(reference, serial) &&
+                           identical_results(reference, parallel);
+    if (!identical) {
+        std::cerr << "error: kernel path diverges from the scalar reference\n";
     }
 
     const double speedup = parallel_s > 0.0 ? serial_s / parallel_s : 0.0;
@@ -152,12 +119,6 @@ int main(int argc, char** argv) {
     const double kernel_over_reference =
         reference_cps > 0.0 ? serial_cps / reference_cps : 0.0;
 
-    std::ostringstream isa_json;
-    for (const IsaRun& run : isa_runs) {
-        isa_json << "  \"isa_" << kernels::to_string(run.isa)
-                 << "_candidates_per_s\": " << run.cps << ",\n";
-    }
-
     std::ofstream json(out_path);
     if (!json) {
         std::cerr << "error: cannot open '" << out_path << "' for writing\n";
@@ -167,7 +128,6 @@ int main(int argc, char** argv) {
          << "  \"bench\": \"design_space\",\n"
          << "  \"hardware_concurrency\": " << hardware << ",\n"
          << "  \"threads\": " << threads << ",\n"
-         << "  \"active_isa\": \"" << kernels::to_string(active) << "\",\n"
          << "  \"total_candidates\": " << space << ",\n"
          << "  \"pruned\": " << serial.pruned << ",\n"
          << "  \"pruned_fraction\": " << serial.pruned_fraction() << ",\n"
@@ -175,7 +135,6 @@ int main(int argc, char** argv) {
          << "  \"top_k\": " << serial.best.size() << ",\n"
          << "  \"reference_wall_s\": " << reference_s << ",\n"
          << "  \"reference_candidates_per_s\": " << reference_cps << ",\n"
-         << isa_json.str()
          << "  \"serial_wall_s\": " << serial_s << ",\n"
          << "  \"parallel_wall_s\": " << parallel_s << ",\n"
          << "  \"serial_candidates_per_s\": " << serial_cps << ",\n"
@@ -195,11 +154,7 @@ int main(int argc, char** argv) {
               << serial.evaluated << " evaluated)\n"
               << "reference " << reference_s << " s (" << reference_cps
               << " cand/s)\n";
-    for (const IsaRun& run : isa_runs) {
-        std::cout << "kernel[" << kernels::to_string(run.isa) << "] "
-                  << run.wall_s << " s (" << run.cps << " cand/s)\n";
-    }
-    std::cout << "kernel[" << kernels::to_string(active) << "] serial "
+    std::cout << "kernel serial "
               << serial_s << " s, parallel(" << threads << ") " << parallel_s
               << " s, speedup " << speedup << ", kernel/reference "
               << kernel_over_reference

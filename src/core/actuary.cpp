@@ -116,7 +116,7 @@ std::vector<SystemCost> ChipletActuary::evaluate_batch_impl(
         } catch (...) {
         }
     }
-    batch.evaluate(kernels::active_table());
+    batch.evaluate();
 
     // Assembly: per-system SystemCost construction, consuming the
     // pre-priced dies.  Slot i belongs to input i; parallel_map
@@ -160,7 +160,7 @@ void ChipletActuary::evaluate_batch_isolated(
         } catch (...) {
         }
     }
-    batch.evaluate(kernels::active_table());
+    batch.evaluate();
 
     util::ThreadPool::global().parallel_for(n, [&](std::size_t i) {
         try {

@@ -92,8 +92,8 @@ public:
     ///
     /// Implementation: a lowering pre-pass collects every (process node,
     /// die area) the batch will price into a kernels::DieBatch — one
-    /// model setup per technology — prices it with the active SIMD
-    /// kernel table (src/kernels/), then assembles the SystemCosts
+    /// model setup per technology — prices it with the batch kernels
+    /// (src/kernels/), then assembles the SystemCosts
     /// consuming the pre-priced dies.  Kernel results are bit-identical
     /// to the scalar engine by policy, so this is purely a speedup.
     [[nodiscard]] std::vector<SystemCost> evaluate_batch(

@@ -58,7 +58,7 @@ struct Cell {
 /// The storage is two flat (systems[], costs[]) array pairs — one per
 /// CellEval — kept in interning order.  Evaluation sweeps each array
 /// contiguously on the global pool with slot ordering, which is also
-/// the layout a batched SIMD pricing kernel would consume: unique
+/// the layout a batched pricing kernel would consume: unique
 /// cells, densely packed, results in matching slots.
 class CellTable {
 public:

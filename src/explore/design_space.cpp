@@ -293,7 +293,7 @@ bool cheaper(const DesignCandidate& a, const DesignCandidate& b) {
 // economics per (chiplet, node) cell, the Eq. 4 package scalars, the
 // amortised NRE share tables — then decodes candidate waves, gathers
 // their per-candidate terms into contiguous arrays, prices interposers
-// and folds Eq. 3-5 with the active kernel table, and streams rows into
+// and folds Eq. 3-5 with the SoA kernels, and streams rows into
 // the same bounded heap the reference keeps.  Every double is produced
 // by either (a) a kernel bound by the bit-identity policy, (b) the very
 // helper the scalar engine calls (yield::repeated_yield, scrap_factor,
@@ -378,8 +378,7 @@ struct BlockCtx {
 /// falls back wholesale, letting the reference path decide whether (and
 /// where) the error actually surfaces.
 BlockCtx build_block_ctx(const Space& space, const Block& block,
-                         const core::ChipletActuary& actuary,
-                         const kernels::KernelTable& table) {
+                         const core::ChipletActuary& actuary) {
     const DesignSpaceConfig& config = space.config();
     const tech::TechLibrary& lib = space.lib();
     const core::Assumptions& assumptions = actuary.assumptions();
@@ -444,7 +443,7 @@ BlockCtx build_block_ctx(const Space& space, const Block& block,
             dies.add(*nodes[n], marea[bin][n] / divisor);
         }
     }
-    dies.evaluate(table);
+    dies.evaluate();
     for (unsigned bin = 0; bin < ctx.k; ++bin) {
         for (std::size_t n = 0; n < ctx.n_nodes; ++n) {
             DieCell& cell = ctx.cells[bin * ctx.n_nodes + n];
@@ -541,7 +540,6 @@ BlockCtx build_block_ctx(const Space& space, const Block& block,
 std::optional<DesignSpaceResult> explore_design_space_kernel(
     const core::ChipletActuary& actuary, const DesignSpaceConfig& config,
     const Space& space) try {
-    const kernels::KernelTable& table = kernels::active_table();
     const std::size_t keep = config.top_k == 0
                                  ? std::numeric_limits<std::size_t>::max()
                                  : config.top_k;
@@ -603,7 +601,7 @@ std::optional<DesignSpaceResult> explore_design_space_kernel(
         if (bbegin >= bend) continue;
         const std::uint64_t c0 = (bbegin - block.base) / nq;
         const std::uint64_t c1 = (bend - block.base + nq - 1) / nq;
-        const BlockCtx ctx = build_block_ctx(space, block, actuary, table);
+        const BlockCtx ctx = build_block_ctx(space, block, actuary);
         const std::size_t kd = ctx.kd;
         const std::size_t n_nodes = ctx.n_nodes;
 
@@ -726,17 +724,17 @@ std::optional<DesignSpaceResult> explore_design_space_kernel(
 
             // ---- interposer pricing over the wave ------------------------
             if (ctx.has_interposer) {
-                table.dpw_classical(ctx.i_usable_radius, ctx.i_scribe,
-                                    iarea.data(), idpw.data(), m);
-                table.expected_defects(ctx.i_defects, iarea.data(),
-                                       idefects.data(), m);
-                table.yield_from_defects(ctx.i_kind, ctx.i_param,
-                                         idefects.data(), iyield.data(), m);
-                table.die_raw_cost(ctx.i_price, ctx.i_extra, iarea.data(),
-                                   idpw.data(), iraw0.data(), m);
+                kernels::dpw_classical(ctx.i_usable_radius, ctx.i_scribe,
+                                       iarea.data(), idpw.data(), m);
+                kernels::expected_defects(ctx.i_defects, iarea.data(),
+                                          idefects.data(), m);
+                kernels::yield_from_defects(ctx.i_kind, ctx.i_param,
+                                            idefects.data(), iyield.data(), m);
+                kernels::die_raw_cost(ctx.i_price, ctx.i_extra, iarea.data(),
+                                      idpw.data(), iraw0.data(), m);
                 // Second bump side: interposer_raw = raw + bump * area.
-                table.scale_add(ctx.i_bump, iarea.data(), iraw0.data(),
-                                iraw.data(), m);
+                kernels::scale_add(ctx.i_bump, iarea.data(), iraw0.data(),
+                                   iraw.data(), m);
             }
 
             // ---- serial check pass, ascending: accounting + diagnostics --
@@ -792,7 +790,7 @@ std::optional<DesignSpaceResult> explore_design_space_kernel(
             terms.has_interposer = ctx.has_interposer;
             terms.chip_first = ctx.chip_first;
             terms.re_total = re_total.data();
-            table.re_fold(terms, m);
+            kernels::re_fold(terms, m);
 
             // ---- serial NRE + ranking fold, ascending --------------------
             for (std::size_t j = 0; j < m; ++j) {

@@ -142,7 +142,7 @@ struct DesignSpaceResult {
 /// Spaces without an attached evaluation memo run on the SoA kernel
 /// fast path (src/kernels/): candidates are lowered block-by-block into
 /// structure-of-arrays form, dies/interposers are priced with the
-/// active SIMD kernel table, and the Eq. 3-5 fold runs over whole
+/// batch kernels, and the Eq. 3-5 fold runs over whole
 /// candidate waves.  Kernel results are bit-identical to the scalar
 /// engine by policy, so ranking, accounting and every reported double
 /// match explore_design_space_reference exactly; any candidate needing

@@ -69,7 +69,7 @@ void DieBatch::add(const tech::ProcessNode& node, double die_area_mm2) {
     group.area.push_back(die_area_mm2);
 }
 
-void DieBatch::evaluate(const KernelTable& table) {
+void DieBatch::evaluate() {
     for (PerNode& group : groups_) {
         if (!group.setup_ok) continue;
         const std::size_t n = group.area.size();
@@ -78,15 +78,14 @@ void DieBatch::evaluate(const KernelTable& table) {
         group.yield.resize(n);
         group.raw.resize(n);
         group.usable.resize(n);
-        table.dpw_classical(group.usable_radius_mm, group.scribe_width_mm,
-                            group.area.data(), group.dpw.data(), n);
-        table.expected_defects(group.defects_per_cm2, group.area.data(),
-                               group.defects.data(), n);
-        table.yield_from_defects(group.kind, group.yield_param,
-                                 group.defects.data(), group.yield.data(), n);
-        table.die_raw_cost(group.wafer_price_usd, group.extra_per_mm2,
-                           group.area.data(), group.dpw.data(),
-                           group.raw.data(), n);
+        dpw_classical(group.usable_radius_mm, group.scribe_width_mm,
+                      group.area.data(), group.dpw.data(), n);
+        expected_defects(group.defects_per_cm2, group.area.data(),
+                         group.defects.data(), n);
+        yield_from_defects(group.kind, group.yield_param,
+                           group.defects.data(), group.yield.data(), n);
+        die_raw_cost(group.wafer_price_usd, group.extra_per_mm2,
+                     group.area.data(), group.dpw.data(), group.raw.data(), n);
         for (std::size_t i = 0; i < n; ++i) {
             // Non-positive or NaN areas and dies that do not fit are
             // scalar-path territory (it throws); their kernel outputs

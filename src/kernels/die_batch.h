@@ -46,9 +46,9 @@ public:
     /// instead (the scalar path owns the diagnostics).
     void add(const tech::ProcessNode& node, double die_area_mm2);
 
-    /// Prices every registered query with `table`'s kernels.  Call once,
+    /// Prices every registered query with the SoA kernels.  Call once,
     /// after the last add().
-    void evaluate(const KernelTable& table);
+    void evaluate();
 
     /// What price_die returns on the scalar path: raw die cost including
     /// the bump + sort-test adders, and die yield.

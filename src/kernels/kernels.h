@@ -1,40 +1,34 @@
 // Structure-of-arrays batch kernels for the hot cost path: dies per
 // wafer, the yield integrand (paper Eq. 1), die cost, and the RE fold
-// of Eq. 3-5 over contiguous candidate arrays.  One function-pointer
-// table exists per ISA level (scalar / SSE2 / AVX2, zimg-style per-arch
-// translation units); dispatch.cpp selects a table at runtime via
-// kernels/isa.h.
+// of Eq. 3-5 over contiguous candidate arrays.  The speed comes from
+// the layout and from hoisting per-technology setup out of the loops
+// (kernels/die_batch.h, the design_space SoA pass), not from
+// instruction-set tuning: there is one portable build of each kernel.
 //
-// Bit-identity policy — the contract every table obeys and the
-// differential harness (tests/test_kernel_differential.cpp) enforces:
+// Bit-identity policy — every kernel equals its scalar oracle:
 //
-//   * A SIMD kernel must reproduce the scalar reference BIT FOR BIT.
-//     Only IEEE-exact lane operations are vectorised (+, -, *, /, sqrt
-//     and compare/select — all correctly rounded per element), in the
-//     scalar implementation's exact association order, with FMA
-//     contraction disabled (the library builds with -ffp-contract=off
-//     and the SIMD bodies use explicit non-FMA intrinsics).
-//   * Transcendental steps (std::exp, std::pow in the Poisson /
-//     negative-binomial / Murphy / Bose-Einstein yields) have no
-//     bit-exact vector form, so every table runs them as scalar libm
-//     calls per lane; only the purely arithmetic seeds_exponential
-//     yield is vectorised.
+//   * Each element step is a literal transcription of the scalar
+//     engine's expression (wafer::dpw_classical, yield::YieldModel,
+//     wafer::DieCostModel, core::ReModel::evaluate): same operations,
+//     same association order, the same libm calls.
+//   * FMA contraction is off for the whole build (-ffp-contract=off),
+//     so a*b+c rounds twice here exactly as it does in the oracle.
 //   * Accumulation orders are never reassociated — the RE fold keeps
 //     the scalar engine's left-to-right term order, which is what makes
 //     kernel results interchangeable with core::ReModel's.
 //
-// Adding a kernel: extend KernelTable (and this policy note), implement
-// the element step once in kernels_scalar.cpp, mirror it with intrinsics
-// in kernels_sse2.cpp / kernels_avx2.cpp only if every lane operation is
-// IEEE-exact — otherwise point the SIMD tables at the scalar entry —
-// and add a differential case to tests/test_kernel_differential.cpp.
+// tests/test_kernel_differential.cpp checks each kernel bit for bit
+// against its oracle; the design_space kernel-vs-reference tests and
+// the batch-vs-evaluate test check the assembled path.
+//
+// Adding a kernel: declare it here with the oracle it reproduces,
+// implement it in kernels.cpp by the rules above, and add an oracle
+// case to tests/test_kernel_differential.cpp.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
-
-#include "kernels/isa.h"
 
 namespace chiplet::kernels {
 
@@ -87,56 +81,44 @@ struct ReFoldTerms {
     double* re_total = nullptr;  ///< ReBreakdown::total() per candidate
 };
 
-/// One ISA level's kernel set.  All arrays are caller-allocated, may be
-/// unaligned, and must not alias between inputs and outputs.
-struct KernelTable {
-    Isa isa = Isa::scalar;
+// All arrays below are caller-allocated, may be unaligned, and must not
+// alias between inputs and outputs.
 
-    /// Classical dies-per-wafer estimator over die areas (mm^2), exact
-    /// image of wafer::dpw_classical with the wafer geometry hoisted.
-    void (*dpw_classical)(double usable_radius_mm, double scribe_width_mm,
-                          const double* die_area_mm2, double* dpw,
-                          std::size_t n);
+/// Classical dies-per-wafer estimator over die areas (mm^2), exact
+/// image of wafer::dpw_classical with the wafer geometry hoisted.
+void dpw_classical(double usable_radius_mm, double scribe_width_mm,
+                   const double* die_area_mm2, double* dpw, std::size_t n);
 
-    /// Expected defects per die: D * S / 100 (paper Eq. 1 integrand),
-    /// exact image of yield::YieldModel::expected_defects.
-    void (*expected_defects)(double defects_per_cm2, const double* die_area_mm2,
-                             double* defects, std::size_t n);
+/// Expected defects per die: D * S / 100 (paper Eq. 1 integrand),
+/// exact image of yield::YieldModel::expected_defects.
+void expected_defects(double defects_per_cm2, const double* die_area_mm2,
+                      double* defects, std::size_t n);
 
-    /// Die yield from expected defects, per model kind.  `param` is the
-    /// clustering parameter (negative binomial) or critical layer count
-    /// (Bose-Einstein); ignored otherwise.
-    void (*yield_from_defects)(YieldKind kind, double param,
-                               const double* defects, double* yield,
-                               std::size_t n);
+/// Die yield from expected defects, per model kind.  `param` is the
+/// clustering parameter (negative binomial) or critical layer count
+/// (Bose-Einstein); ignored otherwise.
+void yield_from_defects(YieldKind kind, double param, const double* defects,
+                        double* yield, std::size_t n);
 
-    /// Raw die cost: wafer_price / dpw + extra_per_mm2 * area, where
-    /// extra_per_mm2 is the hoisted bump + sort-test rate — the exact
-    /// arithmetic of DieCostModel::evaluate plus core's price_die.
-    /// Entries with dpw <= 0 (die does not fit) produce unusable values
-    /// the caller must mask out before use.
-    void (*die_raw_cost)(double wafer_price_usd, double extra_per_mm2,
-                         const double* die_area_mm2, const double* dpw,
-                         double* raw_usd, std::size_t n);
+/// Raw die cost: wafer_price / dpw + extra_per_mm2 * area, where
+/// extra_per_mm2 is the hoisted bump + sort-test rate — the exact
+/// arithmetic of DieCostModel::evaluate plus core's price_die.
+/// Entries with dpw <= 0 (die does not fit) produce unusable values
+/// the caller must mask out before use.
+void die_raw_cost(double wafer_price_usd, double extra_per_mm2,
+                  const double* die_area_mm2, const double* dpw,
+                  double* raw_usd, std::size_t n);
 
-    /// Known-good-die split: kgd = raw / yield, defect = kgd - raw.
-    void (*kgd_split)(const double* raw_usd, const double* yield,
-                      double* kgd_usd, double* defect_usd, std::size_t n);
+/// Known-good-die split: kgd = raw / yield, defect = kgd - raw.
+void kgd_split(const double* raw_usd, const double* yield, double* kgd_usd,
+               double* defect_usd, std::size_t n);
 
-    /// out = b + scale * a (multiply before add, never contracted) —
-    /// the second interposer bump side and the TSV cost adjustment.
-    void (*scale_add)(double scale, const double* a, const double* b,
-                      double* out, std::size_t n);
+/// out = b + scale * a (multiply before add, never contracted) —
+/// the second interposer bump side and the TSV cost adjustment.
+void scale_add(double scale, const double* a, const double* b, double* out,
+               std::size_t n);
 
-    /// The RE package fold, Eq. 3-5; see ReFoldTerms.
-    void (*re_fold)(const ReFoldTerms& terms, std::size_t n);
-};
-
-/// The table for one compiled level; throws ParameterError when the
-/// level is not compiled into this binary.
-[[nodiscard]] const KernelTable& table_for(Isa isa);
-
-/// The table of active_isa() — what the batch cost path runs.
-[[nodiscard]] const KernelTable& active_table();
+/// The RE package fold, Eq. 3-5; see ReFoldTerms.
+void re_fold(const ReFoldTerms& terms, std::size_t n);
 
 }  // namespace chiplet::kernels

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -58,9 +59,8 @@ struct EventLoop::Impl {
         bool announce_after_flush = false;
         bool in_drain = false;  ///< re-entrance guard for drain_pending
         /// Burst mode: queue_response skips the per-frame flush and the
-        /// caller sends the whole batch in one syscall — the reason a
-        /// pipelined burst costs one send(2) here but one per response
-        /// on the thread-per-connection transport.
+        /// caller sends the whole batch in one syscall, so a pipelined
+        /// burst costs one send(2), not one per response.
         bool corked = false;
         std::uint32_t interest = 0;  ///< epoll mask last installed
         Clock::time_point last_activity;
@@ -415,6 +415,12 @@ struct EventLoop::Impl {
                 ::close(fd);
                 continue;
             }
+            // Responses are already corked into one send(2) per burst;
+            // Nagle would only hold a lone depth-1 answer back until the
+            // client's delayed ACK.
+            const int nodelay = 1;
+            ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                         sizeof(nodelay));
             epoll_event ev{};
             ev.events = EPOLLIN | EPOLLRDHUP;
             ev.data.fd = fd;

@@ -64,7 +64,12 @@ JsonArray& JsonValue::as_array() {
 
 JsonValue::ObjectRep& JsonValue::object_rep() {
     if (!is_object()) throw ParseError("JSON value is not an object");
-    return *std::get<std::shared_ptr<ObjectRep>>(value_);
+    // Copy on write: every object mutation comes through here, so a copy
+    // sharing this rep gets its own before anything changes.  The clone
+    // is one level deep; nested objects clone when they are mutated.
+    auto& rep = std::get<std::shared_ptr<ObjectRep>>(value_);
+    if (rep.use_count() > 1) rep = std::make_shared<ObjectRep>(*rep);
+    return *rep;
 }
 
 const JsonValue::ObjectRep& JsonValue::object_rep() const {

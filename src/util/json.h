@@ -20,7 +20,11 @@ class JsonValue;
 /// saved tech library round-trips readably.
 using JsonArray = std::vector<JsonValue>;
 
-/// JSON document node.  Value-semantic; copies are deep.
+/// JSON document node.  Value-semantic: a copy never observes changes
+/// made through another copy.  Objects are shared copy-on-write, so
+/// copying is cheap and a mutation clones only the objects it touches.
+/// A reference taken from a non-const accessor stays tied to the value
+/// it came from only until that value is copied.
 class JsonValue {
 public:
     enum class Type { null, boolean, number, string, array, object };
@@ -91,7 +95,7 @@ private:
     };
 
     // shared_ptr keeps JsonValue copyable while ObjectRep stays incomplete
-    // in the variant; deep copy happens explicitly in set()/parse paths.
+    // in the variant; the non-const object_rep() clones a shared rep.
     using Storage = std::variant<std::monostate, bool, double, std::string,
                                  JsonArray, std::shared_ptr<ObjectRep>>;
 

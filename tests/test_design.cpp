@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "design/builder.h"
 #include "design/system.h"
 #include "tech/tech_library.h"
@@ -16,6 +18,18 @@ TEST(Chip, AreaWithD2dOverhead) {
     EXPECT_DOUBLE_EQ(chip.module_area(library), 180.0);
     EXPECT_NEAR(chip.area(library), 180.0 / 0.9, 1e-12);
     EXPECT_NEAR(chip.d2d_area(library), 180.0 / 0.9 - 180.0, 1e-12);
+}
+
+TEST(Chip, ContractErrorNamesFileWithoutBuildPath) {
+    try {
+        const Chip chip("", "7nm", {Module{"m", 180.0, "7nm", true}}, 0.10);
+        FAIL() << "an unnamed chip must be rejected";
+    } catch (const ParameterError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("chip needs a name"), std::string::npos) << what;
+        EXPECT_NE(what.find(" at chip.cpp:"), std::string::npos) << what;
+        EXPECT_EQ(what.find('/'), std::string::npos) << what;
+    }
 }
 
 TEST(Chip, ZeroD2dMeansModuleAreaOnly) {

@@ -417,6 +417,32 @@ TEST(DesignSpaceKernelPath, MatchesReferenceBitForBitAcrossPackagings) {
                              explore_design_space_reference(actuary, config));
 }
 
+TEST(DesignSpaceKernelPath, ChipFirstFlowAndInterposerBumpsMatchReference) {
+    // Two kernel paths the builtin library and default flow leave
+    // untouched: chip-first folds the interposer yield into the KGD
+    // scrap factor (Eq. 5, a re_fold branch), and a nonzero interposer
+    // bump rate makes scale_add's product matter.
+    tech::TechLibrary lib = tech::TechLibrary::builtin();
+    for (const char* name : {"rdl", "si_interposer"}) {
+        tech::ProcessNode node = lib.node(name);
+        node.bump_cost_per_mm2 = 0.015;
+        node.test_cost_per_mm2 = 0.004;
+        lib.add_node(node);
+    }
+    core::ChipletActuary actuary(lib);
+    actuary.assumptions().flow = tech::PackagingFlow::chip_first;
+    DesignSpaceConfig config;
+    config.module_area_mm2 = 700.0;
+    config.reference_node = "7nm";
+    config.nodes = {"7nm", "12nm"};
+    config.chiplet_counts = {1, 2, 3, 4};
+    config.packagings = {"SoC", "MCM", "InFO", "2.5D"};
+    config.quantities = {1e5, 1e7};
+    config.top_k = 0;
+    expect_identical_results(explore_design_space(actuary, config),
+                             explore_design_space_reference(actuary, config));
+}
+
 TEST(DesignSpaceKernelPath, ModulesModeMatchesReference) {
     const core::ChipletActuary actuary;
     DesignSpaceConfig config;

@@ -122,7 +122,7 @@ TEST(DieBatch, FindIsBitIdenticalToScalarPriceDie) {
     const double areas[] = {12.5, 100.0, 300.0, 599.25, 820.0};
     for (double area : areas) batch.add(node, area);
     batch.add(node, areas[0]);  // duplicate dedups to the same slot
-    batch.evaluate(kernels::active_table());
+    batch.evaluate();
 
     const kernels::DieBatch::Stats stats = batch.stats();
     EXPECT_EQ(stats.tech_setups, 1u);
@@ -148,7 +148,7 @@ TEST(DieBatch, NonFittingAndUnknownQueriesFallBack) {
     const tech::ProcessNode& node = actuary.library().node("7nm");
     kernels::DieBatch batch(actuary.assumptions().yield_model);
     batch.add(node, 1.0e6);  // cannot fit any wafer
-    batch.evaluate(kernels::active_table());
+    batch.evaluate();
     EXPECT_FALSE(batch.find(node, 1.0e6).has_value())
         << "non-fitting dies defer to the scalar path's diagnostic";
     EXPECT_FALSE(batch.find(node, 123.0).has_value())

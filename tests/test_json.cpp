@@ -138,6 +138,28 @@ TEST(JsonValue, MutableAtAllowsEditing) {
     EXPECT_DOUBLE_EQ(v.at("nodes").as_array()[0].at("d").as_number(), 2.0);
 }
 
+TEST(JsonValue, CopiesOfObjectsAreIndependent) {
+    JsonValue original = JsonValue::parse(
+        R"({"a":1,"inner":{"b":2},"list":[{"c":3}]})");
+    const std::string before = original.dump();
+
+    JsonValue copy = original;
+    copy.set("a", 10);
+    copy.set("added", true);
+    copy.at("inner").set("b", 20);
+    copy.at("list").as_array()[0].set("c", 30);
+    EXPECT_EQ(original.dump(), before);
+    EXPECT_EQ(copy.dump(),
+              R"({"a":10,"inner":{"b":20},"list":[{"c":30}],"added":true})");
+
+    // The other direction: mutating the original leaves the copy alone,
+    // including an object reached only through an array element.
+    JsonValue element = original.at("list").as_array()[0];
+    original.at("list").as_array()[0].set("c", 300);
+    EXPECT_EQ(element.at("c").as_number(), 3.0);
+    EXPECT_EQ(copy.at("list").as_array()[0].at("c").as_number(), 30.0);
+}
+
 TEST(JsonFile, SaveLoadRoundtrip) {
     JsonValue v = JsonValue::object();
     v.set("x", 1.25);

@@ -1,26 +1,26 @@
-// Scalar-oracle differential harness for the batch kernels
-// (src/kernels/): every kernel, at every compiled ISA level the host
-// executes, must reproduce the scalar reference BIT FOR BIT — that is
-// the policy (kernels/kernels.h) that makes the SIMD tables
+// Scalar-oracle harness for the batch kernels (src/kernels/): every
+// kernel must reproduce the engine's own scalar code BIT FOR BIT — that
+// is the policy (kernels/kernels.h) that makes kernel results
 // interchangeable with core's scalar engine.  Two layers of oracle:
 //
-//   1. the scalar kernel table against the engine's own scalar code
-//      (wafer::dpw_classical, yield::YieldModel, DieCostModel), so the
-//      kernels can never drift from what they claim to accelerate;
-//   2. every other compiled table against the scalar table over ~10k
-//      seeded randomized cases per kernel, with denormal-area,
-//      zero-defect-density, non-fitting-die and single-lane edges
-//      injected, plus lengths that exercise every SIMD remainder path.
+//   1. each kernel against the scalar function it transcribes
+//      (wafer::dpw_classical, yield::YieldModel, DieCostModel) over ~10k
+//      seeded randomized cases, with denormal-area, zero-defect-density
+//      and non-fitting-die edges injected;
+//   2. the whole batch path (ChipletActuary::evaluate_batch) against the
+//      single-system scalar evaluate.
 //
-// On a mismatch the harness shrinks to the first failing element and
-// re-runs both tables on that one input, so the failure message carries
-// a standalone repro (exact input/output bit patterns, kernel, ISA).
+// scale_add and re_fold run only inside the design_space SoA pass; the
+// DesignSpaceKernelPath tests (tests/test_design_space.cpp) check them
+// against core::ReModel through explore_design_space_reference.
 // Seed comes from CHIPLET_FUZZ_SEED when set, so a CI failure replays
 // locally.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <random>
 #include <string>
@@ -28,7 +28,6 @@
 
 #include "core/actuary.h"
 #include "core/scenarios.h"
-#include "kernels/isa.h"
 #include "kernels/kernels.h"
 #include "wafer/die_cost.h"
 #include "wafer/die_per_wafer.h"
@@ -62,32 +61,6 @@ bool same_bits(double a, double b) {
     return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-/// Compares two kernel output arrays bitwise.  On the first mismatch,
-/// shrinks: re-runs `rerun_single(i)` to confirm the one-element repro
-/// and fails with the exact bit patterns.  `describe(i)` prints the
-/// inputs of case i.
-template <typename Describe, typename RerunSingle>
-void expect_bitwise(const char* what, Isa isa, const std::vector<double>& ref,
-                    const std::vector<double>& got, Describe describe,
-                    RerunSingle rerun_single) {
-    ASSERT_EQ(ref.size(), got.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-        if (same_bits(ref[i], got[i])) continue;
-        const auto [single_ref, single_got] = rerun_single(i);
-        FAIL() << what << " diverges from scalar at ISA " << to_string(isa)
-               << ", case " << i << "\n  inputs: " << describe(i)
-               << "\n  scalar: " << bits_of(ref[i])
-               << "\n  " << to_string(isa) << ":   " << bits_of(got[i])
-               << "\n  shrunk 1-element rerun -> scalar "
-               << bits_of(single_ref) << " vs " << bits_of(single_got)
-               << (same_bits(single_ref, single_got)
-                       ? "  (single-lane agrees: divergence needs the full "
-                         "vector context)"
-                       : "  (reproduces standalone)");
-        return;
-    }
-}
-
 /// Die-area generator: log-uniform over the realistic range with the
 /// edge cases the policy calls out spliced in at fixed slots.
 std::vector<double> make_areas(std::mt19937_64& rng, std::size_t n) {
@@ -107,21 +80,12 @@ std::vector<double> make_areas(std::mt19937_64& rng, std::size_t n) {
     return areas;
 }
 
-std::vector<Isa> simd_levels() {
-    std::vector<Isa> out;
-    for (Isa isa : supported_isas()) {
-        if (isa != Isa::scalar) out.push_back(isa);
-    }
-    return out;
-}
-
 constexpr std::size_t kCases = 10'000;
 
-// ---- layer 1: scalar kernel table vs the engine's scalar code ---------------
+// ---- layer 1: each kernel vs the engine's scalar code -----------------------
 
 TEST(KernelScalarOracle, DpwMatchesWaferDpwClassical) {
     std::mt19937_64 rng(fuzz_seed());
-    const KernelTable& scalar = table_for(Isa::scalar);
     std::uniform_real_distribution<double> diameter(100.0, 450.0);
     std::uniform_real_distribution<double> scribe(0.01, 0.5);
     for (int spec_case = 0; spec_case < 8; ++spec_case) {
@@ -130,12 +94,12 @@ TEST(KernelScalarOracle, DpwMatchesWaferDpwClassical) {
         spec.scribe_width_mm = scribe(rng);
         const std::vector<double> areas = make_areas(rng, kCases / 8);
         std::vector<double> dpw(areas.size());
-        scalar.dpw_classical(spec.usable_radius_mm(), spec.scribe_width_mm,
+        dpw_classical(spec.usable_radius_mm(), spec.scribe_width_mm,
                              areas.data(), dpw.data(), areas.size());
         for (std::size_t i = 0; i < areas.size(); ++i) {
             const double oracle = wafer::dpw_classical(spec, areas[i]);
             ASSERT_TRUE(same_bits(oracle, dpw[i]))
-                << "dpw_classical scalar kernel vs wafer::dpw_classical, area="
+                << "dpw_classical kernel vs wafer::dpw_classical, area="
                 << bits_of(areas[i]) << " oracle=" << bits_of(oracle)
                 << " kernel=" << bits_of(dpw[i]);
         }
@@ -144,7 +108,6 @@ TEST(KernelScalarOracle, DpwMatchesWaferDpwClassical) {
 
 TEST(KernelScalarOracle, YieldPipelineMatchesYieldModels) {
     std::mt19937_64 rng(fuzz_seed() + 1);
-    const KernelTable& scalar = table_for(Isa::scalar);
     const struct {
         const char* name;
         YieldKind kind;
@@ -165,9 +128,9 @@ TEST(KernelScalarOracle, YieldPipelineMatchesYieldModels) {
             const std::vector<double> areas = make_areas(rng, kCases / 20);
             std::vector<double> defects(areas.size());
             std::vector<double> yields(areas.size());
-            scalar.expected_defects(d, areas.data(), defects.data(),
+            expected_defects(d, areas.data(), defects.data(),
                                     areas.size());
-            scalar.yield_from_defects(k.kind, param, defects.data(),
+            yield_from_defects(k.kind, param, defects.data(),
                                       yields.data(), areas.size());
             for (std::size_t i = 0; i < areas.size(); ++i) {
                 const double oracle = model->yield(d, areas[i]);
@@ -187,7 +150,6 @@ TEST(KernelScalarOracle, YieldPipelineMatchesYieldModels) {
 
 TEST(KernelScalarOracle, DieRawCostMatchesDieCostModel) {
     std::mt19937_64 rng(fuzz_seed() + 2);
-    const KernelTable& scalar = table_for(Isa::scalar);
     wafer::WaferSpec spec;  // default 300mm geometry
     spec.price_usd = 9'000.0;
     const double defect_density = 0.09;
@@ -202,14 +164,14 @@ TEST(KernelScalarOracle, DieRawCostMatchesDieCostModel) {
     const std::size_t n = areas.size();
     std::vector<double> dpw(n), defects(n), yields(n), raw(n), kgd(n),
         defect_cost(n);
-    scalar.dpw_classical(spec.usable_radius_mm(), spec.scribe_width_mm,
+    dpw_classical(spec.usable_radius_mm(), spec.scribe_width_mm,
                          areas.data(), dpw.data(), n);
-    scalar.expected_defects(defect_density, areas.data(), defects.data(), n);
-    scalar.yield_from_defects(YieldKind::seeds_negative_binomial, cluster_param,
+    expected_defects(defect_density, areas.data(), defects.data(), n);
+    yield_from_defects(YieldKind::seeds_negative_binomial, cluster_param,
                               defects.data(), yields.data(), n);
-    scalar.die_raw_cost(spec.price_usd, bump + test, areas.data(), dpw.data(),
+    die_raw_cost(spec.price_usd, bump + test, areas.data(), dpw.data(),
                         raw.data(), n);
-    scalar.kgd_split(raw.data(), yields.data(), kgd.data(), defect_cost.data(),
+    kgd_split(raw.data(), yields.data(), kgd.data(), defect_cost.data(),
                      n);
 
     std::size_t priced = 0;
@@ -231,245 +193,9 @@ TEST(KernelScalarOracle, DieRawCostMatchesDieCostModel) {
     ASSERT_GT(priced, n / 2) << "generator degenerated: most dies do not fit";
 }
 
-// ---- layer 2: every compiled SIMD table vs the scalar table ------------------
+// ---- layer 2: the whole batch path vs single-system evaluate ------------------
 
-TEST(KernelDifferential, DpwBitIdenticalAcrossIsas) {
-    std::mt19937_64 rng(fuzz_seed() + 3);
-    const KernelTable& scalar = table_for(Isa::scalar);
-    const double r = 147.0;
-    const double scribe = 0.1;
-    std::vector<double> areas = make_areas(rng, kCases);
-    // Lengths 0..9 exercise every remainder-lane path; the bulk run
-    // exercises the vector body.
-    for (Isa isa : simd_levels()) {
-        const KernelTable& table = table_for(isa);
-        for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                              std::size_t{3}, std::size_t{5}, std::size_t{7},
-                              areas.size()}) {
-            std::vector<double> ref(n), got(n);
-            scalar.dpw_classical(r, scribe, areas.data(), ref.data(), n);
-            table.dpw_classical(r, scribe, areas.data(), got.data(), n);
-            expect_bitwise(
-                "dpw_classical", isa, ref, got,
-                [&](std::size_t i) { return "area=" + bits_of(areas[i]); },
-                [&](std::size_t i) {
-                    double a = 0.0;
-                    double b = 0.0;
-                    scalar.dpw_classical(r, scribe, &areas[i], &a, 1);
-                    table.dpw_classical(r, scribe, &areas[i], &b, 1);
-                    return std::pair<double, double>{a, b};
-                });
-        }
-    }
-}
-
-TEST(KernelDifferential, YieldPipelineBitIdenticalAcrossIsas) {
-    std::mt19937_64 rng(fuzz_seed() + 4);
-    const KernelTable& scalar = table_for(Isa::scalar);
-    const YieldKind kinds[] = {YieldKind::poisson,
-                               YieldKind::seeds_negative_binomial,
-                               YieldKind::murphy, YieldKind::seeds_exponential,
-                               YieldKind::bose_einstein};
-    for (Isa isa : simd_levels()) {
-        const KernelTable& table = table_for(isa);
-        for (YieldKind kind : kinds) {
-            const double d = 0.12;
-            const double param = 7.5;
-            const std::vector<double> areas = make_areas(rng, kCases / 5);
-            const std::size_t n = areas.size();
-            std::vector<double> dref(n), dgot(n), yref(n), ygot(n);
-            scalar.expected_defects(d, areas.data(), dref.data(), n);
-            table.expected_defects(d, areas.data(), dgot.data(), n);
-            expect_bitwise(
-                "expected_defects", isa, dref, dgot,
-                [&](std::size_t i) { return "area=" + bits_of(areas[i]); },
-                [&](std::size_t i) {
-                    double a = 0.0;
-                    double b = 0.0;
-                    scalar.expected_defects(d, &areas[i], &a, 1);
-                    table.expected_defects(d, &areas[i], &b, 1);
-                    return std::pair<double, double>{a, b};
-                });
-            scalar.yield_from_defects(kind, param, dref.data(), yref.data(), n);
-            table.yield_from_defects(kind, param, dref.data(), ygot.data(), n);
-            expect_bitwise(
-                "yield_from_defects", isa, yref, ygot,
-                [&](std::size_t i) { return "defects=" + bits_of(dref[i]); },
-                [&](std::size_t i) {
-                    double a = 0.0;
-                    double b = 0.0;
-                    scalar.yield_from_defects(kind, param, &dref[i], &a, 1);
-                    table.yield_from_defects(kind, param, &dref[i], &b, 1);
-                    return std::pair<double, double>{a, b};
-                });
-        }
-    }
-}
-
-TEST(KernelDifferential, CostKernelsBitIdenticalAcrossIsas) {
-    std::mt19937_64 rng(fuzz_seed() + 5);
-    const KernelTable& scalar = table_for(Isa::scalar);
-    const double r = 147.0;
-    const double scribe = 0.1;
-    const double price = 9'000.0;
-    const double extra = 0.04;
-    const double scale = 0.5;
-    const std::vector<double> areas = make_areas(rng, kCases);
-    const std::size_t n = areas.size();
-    std::vector<double> dpw(n), yields(n);
-    scalar.dpw_classical(r, scribe, areas.data(), dpw.data(), n);
-    {
-        std::vector<double> defects(n);
-        scalar.expected_defects(0.1, areas.data(), defects.data(), n);
-        scalar.yield_from_defects(YieldKind::seeds_negative_binomial, 10.0,
-                                  defects.data(), yields.data(), n);
-    }
-    for (Isa isa : simd_levels()) {
-        const KernelTable& table = table_for(isa);
-        std::vector<double> rref(n), rgot(n);
-        scalar.die_raw_cost(price, extra, areas.data(), dpw.data(), rref.data(),
-                            n);
-        table.die_raw_cost(price, extra, areas.data(), dpw.data(), rgot.data(),
-                           n);
-        expect_bitwise(
-            "die_raw_cost", isa, rref, rgot,
-            [&](std::size_t i) {
-                return "area=" + bits_of(areas[i]) + " dpw=" + bits_of(dpw[i]);
-            },
-            [&](std::size_t i) {
-                double a = 0.0;
-                double b = 0.0;
-                scalar.die_raw_cost(price, extra, &areas[i], &dpw[i], &a, 1);
-                table.die_raw_cost(price, extra, &areas[i], &dpw[i], &b, 1);
-                return std::pair<double, double>{a, b};
-            });
-
-        std::vector<double> kref(n), kgot(n), dref(n), dgot(n);
-        scalar.kgd_split(rref.data(), yields.data(), kref.data(), dref.data(),
-                         n);
-        table.kgd_split(rref.data(), yields.data(), kgot.data(), dgot.data(),
-                        n);
-        expect_bitwise(
-            "kgd_split (kgd)", isa, kref, kgot,
-            [&](std::size_t i) {
-                return "raw=" + bits_of(rref[i]) +
-                       " yield=" + bits_of(yields[i]);
-            },
-            [&](std::size_t i) {
-                double k1 = 0.0, d1 = 0.0, k2 = 0.0, d2 = 0.0;
-                scalar.kgd_split(&rref[i], &yields[i], &k1, &d1, 1);
-                table.kgd_split(&rref[i], &yields[i], &k2, &d2, 1);
-                return std::pair<double, double>{k1, k2};
-            });
-        expect_bitwise(
-            "kgd_split (defect)", isa, dref, dgot,
-            [&](std::size_t i) {
-                return "raw=" + bits_of(rref[i]) +
-                       " yield=" + bits_of(yields[i]);
-            },
-            [&](std::size_t i) {
-                double k1 = 0.0, d1 = 0.0, k2 = 0.0, d2 = 0.0;
-                scalar.kgd_split(&rref[i], &yields[i], &k1, &d1, 1);
-                table.kgd_split(&rref[i], &yields[i], &k2, &d2, 1);
-                return std::pair<double, double>{d1, d2};
-            });
-
-        std::vector<double> sref(n), sgot(n);
-        scalar.scale_add(scale, areas.data(), rref.data(), sref.data(), n);
-        table.scale_add(scale, areas.data(), rref.data(), sgot.data(), n);
-        expect_bitwise(
-            "scale_add", isa, sref, sgot,
-            [&](std::size_t i) {
-                return "a=" + bits_of(areas[i]) + " b=" + bits_of(rref[i]);
-            },
-            [&](std::size_t i) {
-                double a = 0.0;
-                double b = 0.0;
-                scalar.scale_add(scale, &areas[i], &rref[i], &a, 1);
-                table.scale_add(scale, &areas[i], &rref[i], &b, 1);
-                return std::pair<double, double>{a, b};
-            });
-    }
-}
-
-TEST(KernelDifferential, ReFoldBitIdenticalAcrossIsas) {
-    std::mt19937_64 rng(fuzz_seed() + 6);
-    std::uniform_real_distribution<double> money(0.1, 500.0);
-    std::uniform_real_distribution<double> area(1.0, 800.0);
-    std::uniform_real_distribution<double> yield_dist(0.35, 1.0);
-    const KernelTable& scalar = table_for(Isa::scalar);
-    for (const bool interposer : {false, true}) {
-        for (const bool chip_first : {false, true}) {
-            const std::size_t n = kCases / 4;
-            std::vector<double> raw(n), defects(n), kgd(n), darea(n), iraw(n),
-                iyield(n), ref(n), got(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                raw[i] = money(rng);
-                defects[i] = money(rng) * 0.1;
-                kgd[i] = raw[i] + defects[i];
-                darea[i] = area(rng);
-                iraw[i] = money(rng);
-                iyield[i] = yield_dist(rng);
-            }
-            ReFoldTerms terms;
-            terms.raw_chips = raw.data();
-            terms.chip_defects = defects.data();
-            terms.kgd_total = kgd.data();
-            terms.design_area = darea.data();
-            terms.interposer_raw = interposer ? iraw.data() : nullptr;
-            terms.interposer_yield = interposer ? iyield.data() : nullptr;
-            terms.package_area_factor = 1.1;
-            terms.substrate_cost_per_mm2 = 0.005;
-            terms.substrate_layer_factor = 2.0;
-            terms.bond_and_test = 3.25;
-            terms.y2n = 0.98;
-            terms.y3 = 0.99;
-            terms.scrap_y2n_y3 = 1.0 / (0.98 * 0.99) - 1.0;
-            terms.inv_y3_minus_1 = 1.0 / 0.99 - 1.0;
-            terms.has_interposer = interposer;
-            terms.chip_first = chip_first;
-
-            terms.re_total = ref.data();
-            scalar.re_fold(terms, n);
-            for (Isa isa : simd_levels()) {
-                const KernelTable& table = table_for(isa);
-                terms.re_total = got.data();
-                table.re_fold(terms, n);
-                expect_bitwise(
-                    "re_fold", isa, ref, got,
-                    [&](std::size_t i) {
-                        return "raw=" + bits_of(raw[i]) +
-                               " kgd=" + bits_of(kgd[i]) +
-                               " darea=" + bits_of(darea[i]) +
-                               " iyield=" + bits_of(iyield[i]) +
-                               (interposer ? " interposer" : "") +
-                               (chip_first ? " chip_first" : "");
-                    },
-                    [&](std::size_t i) {
-                        ReFoldTerms one = terms;
-                        one.raw_chips = &raw[i];
-                        one.chip_defects = &defects[i];
-                        one.kgd_total = &kgd[i];
-                        one.design_area = &darea[i];
-                        one.interposer_raw = interposer ? &iraw[i] : nullptr;
-                        one.interposer_yield =
-                            interposer ? &iyield[i] : nullptr;
-                        double a = 0.0;
-                        double b = 0.0;
-                        one.re_total = &a;
-                        scalar.re_fold(one, 1);
-                        one.re_total = &b;
-                        table.re_fold(one, 1);
-                        return std::pair<double, double>{a, b};
-                    });
-            }
-        }
-    }
-}
-
-// ---- system level: the whole batch path under every forced ISA ---------------
-
-TEST(KernelDifferential, EvaluateBatchMatchesScalarEvaluateAtEveryIsa) {
+TEST(KernelScalarOracle, EvaluateBatchMatchesScalarEvaluate) {
     const core::ChipletActuary actuary;
     std::vector<design::System> systems;
     for (const char* packaging : {"MCM", "InFO", "2.5D"}) {
@@ -488,43 +214,27 @@ TEST(KernelDifferential, EvaluateBatchMatchesScalarEvaluateAtEveryIsa) {
     oracle.reserve(systems.size());
     for (const design::System& s : systems) oracle.push_back(actuary.evaluate(s));
 
-    for (Isa isa : supported_isas()) {
-        force_isa(isa);
-        const std::vector<core::SystemCost> batch =
-            actuary.evaluate_batch(systems);
-        clear_forced_isa();
-        ASSERT_EQ(batch.size(), oracle.size());
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            const auto check = [&](const char* field, double want, double got) {
-                EXPECT_TRUE(same_bits(want, got))
-                    << systems[i].name() << " ." << field << " at ISA "
-                    << to_string(isa) << ": scalar " << bits_of(want)
-                    << " vs batch " << bits_of(got);
-            };
-            check("re.raw_chips", oracle[i].re.raw_chips, batch[i].re.raw_chips);
-            check("re.chip_defects", oracle[i].re.chip_defects,
-                  batch[i].re.chip_defects);
-            check("re.raw_package", oracle[i].re.raw_package,
-                  batch[i].re.raw_package);
-            check("re.package_defects", oracle[i].re.package_defects,
-                  batch[i].re.package_defects);
-            check("re.wasted_kgd", oracle[i].re.wasted_kgd,
-                  batch[i].re.wasted_kgd);
-            check("nre.total", oracle[i].nre.total(), batch[i].nre.total());
-            check("package_design_area", oracle[i].package_design_area_mm2,
-                  batch[i].package_design_area_mm2);
-            check("interposer_area", oracle[i].interposer_area_mm2,
-                  batch[i].interposer_area_mm2);
-        }
-    }
-}
-
-TEST(KernelDifferential, ForcedIsaReportsActiveLevel) {
-    for (Isa isa : supported_isas()) {
-        force_isa(isa);
-        EXPECT_EQ(active_isa(), isa);
-        EXPECT_EQ(active_table().isa, isa);
-        clear_forced_isa();
+    const std::vector<core::SystemCost> batch = actuary.evaluate_batch(systems);
+    ASSERT_EQ(batch.size(), oracle.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const auto check = [&](const char* field, double want, double got) {
+            EXPECT_TRUE(same_bits(want, got))
+                << systems[i].name() << " ." << field << ": scalar "
+                << bits_of(want) << " vs batch " << bits_of(got);
+        };
+        check("re.raw_chips", oracle[i].re.raw_chips, batch[i].re.raw_chips);
+        check("re.chip_defects", oracle[i].re.chip_defects,
+              batch[i].re.chip_defects);
+        check("re.raw_package", oracle[i].re.raw_package,
+              batch[i].re.raw_package);
+        check("re.package_defects", oracle[i].re.package_defects,
+              batch[i].re.package_defects);
+        check("re.wasted_kgd", oracle[i].re.wasted_kgd, batch[i].re.wasted_kgd);
+        check("nre.total", oracle[i].nre.total(), batch[i].nre.total());
+        check("package_design_area", oracle[i].package_design_area_mm2,
+              batch[i].package_design_area_mm2);
+        check("interposer_area", oracle[i].interposer_area_mm2,
+              batch[i].interposer_area_mm2);
     }
 }
 

@@ -1,10 +1,13 @@
 // Design-space explorer throughput probe: a few-hundred-thousand-candidate
 // heterogeneous space (per-chiplet node assignment over three nodes, four
-// packagings, up to ten chiplets) is enumerated, pruned and evaluated three
+// packagings, up to ten chiplets) is enumerated, pruned and evaluated four
 // ways — the scalar per-candidate reference path, the SoA kernel path
-// serial, and the kernel path parallel — with every ranking checked
-// bit-identical against the reference before any timing is reported.  Like the other bench_* probes this has no
-// Google-Benchmark dependency; bench/run_benches.sh runs it and collects
+// serial, the kernel path parallel, and the space as a design_space
+// study through run_studies (serial), the study-compiler path actuaryd
+// serves — with every ranking checked bit-identical against the
+// reference (and the compiled payload against a direct run_study)
+// before any timing is reported.  Like the other bench_* probes this has no Google-Benchmark
+// dependency; bench/run_benches.sh runs it and collects
 // BENCH_design_space.json.
 //
 //   bench_design_space [output.json]
@@ -19,7 +22,9 @@
 
 #include "core/actuary.h"
 #include "explore/design_space.h"
+#include "explore/study.h"
 #include "explore/study_json.h"
+#include "util/json.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -99,6 +104,23 @@ int main(int argc, char** argv) {
         explore::explore_design_space(actuary, config);
     const double serial_s = seconds_since(start);
 
+    // Server path: the same space as one design_space study through the
+    // study compiler (run_studies), serial like the timing above so the
+    // two rates compare directly.  Best of five ~25 ms samples, so a
+    // preempted sample does not read as a regression.
+    explore::StudySpec spec;
+    spec.name = "design_space";
+    spec.config = config;
+    const std::vector<explore::StudySpec> batch{spec};
+    std::vector<explore::StudyResult> graph;
+    double graph_s = 0.0;
+    for (int sample = 0; sample < 5; ++sample) {
+        start = Clock::now();
+        graph = explore::run_studies(actuary, batch);
+        const double wall = seconds_since(start);
+        if (sample == 0 || wall < graph_s) graph_s = wall;
+    }
+
     ThreadPool::set_global_threads(threads);
     start = Clock::now();
     const explore::DesignSpaceResult parallel =
@@ -110,6 +132,16 @@ int main(int argc, char** argv) {
     if (!identical) {
         std::cerr << "error: kernel path diverges from the scalar reference\n";
     }
+    JsonDiffOptions exact;
+    exact.tolerance = 0.0;
+    exact.ignore_keys = {"meta"};  // wall time and counters differ per run
+    const bool graph_identical =
+        json_diff(explore::to_json(graph.front()),
+                  explore::to_json(explore::run_study(actuary, spec)), exact)
+            .empty();
+    if (!graph_identical) {
+        std::cerr << "error: the run_studies payload diverges from run_study\n";
+    }
 
     const double speedup = parallel_s > 0.0 ? serial_s / parallel_s : 0.0;
     const double serial_cps =
@@ -118,6 +150,8 @@ int main(int argc, char** argv) {
         parallel_s > 0.0 ? static_cast<double>(space) / parallel_s : 0.0;
     const double kernel_over_reference =
         reference_cps > 0.0 ? serial_cps / reference_cps : 0.0;
+    const double graph_cps =
+        graph_s > 0.0 ? static_cast<double>(space) / graph_s : 0.0;
 
     std::ofstream json(out_path);
     if (!json) {
@@ -140,8 +174,12 @@ int main(int argc, char** argv) {
          << "  \"serial_candidates_per_s\": " << serial_cps << ",\n"
          << "  \"parallel_candidates_per_s\": " << parallel_cps << ",\n"
          << "  \"kernel_over_reference\": " << kernel_over_reference << ",\n"
+         << "  \"graph_wall_s\": " << graph_s << ",\n"
+         << "  \"graph_candidates_per_s\": " << graph_cps << ",\n"
          << "  \"speedup\": " << speedup << ",\n"
-         << "  \"bit_identical\": " << (identical ? "true" : "false") << "\n"
+         << "  \"bit_identical\": " << (identical ? "true" : "false") << ",\n"
+         << "  \"graph_bit_identical\": "
+         << (graph_identical ? "true" : "false") << "\n"
          << "}\n";
     json.close();
     if (!json) {
@@ -159,6 +197,9 @@ int main(int argc, char** argv) {
               << " s, speedup " << speedup << ", kernel/reference "
               << kernel_over_reference
               << (identical ? "" : "  [RESULTS DIVERGE]") << "\n"
+              << "run_studies " << graph_s << " s (" << graph_cps
+              << " cand/s)" << (graph_identical ? "" : "  [RESULTS DIVERGE]")
+              << "\n"
               << "wrote " << out_path << "\n";
-    return identical ? 0 : 1;
+    return identical && graph_identical ? 0 : 1;
 }

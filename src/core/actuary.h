@@ -119,7 +119,6 @@ public:
     /// memoised results when the memo holds the cell; misses evaluate
     /// as usual.  The caller keeps `memo` alive while attached.
     void set_eval_memo(const EvalMemo* memo) { memo_ = memo; }
-    [[nodiscard]] const EvalMemo* eval_memo() const { return memo_; }
 
 private:
     [[nodiscard]] FamilyCost evaluate_family(

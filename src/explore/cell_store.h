@@ -1,9 +1,9 @@
 // Process-lifetime cross-study cell memoisation.  The study compiler's
 // CellTable (explore/cell.h) shares priced cost cells *within* one
 // compiled batch and dies with it; this store promotes those cells to
-// the process lifetime, so sweeps, breakeven probes, recommend and
-// design_space studies arriving in *different* batches — different
-// requests, different connections — reuse each other's evaluations.
+// the process lifetime, so re_sweep and quantity_sweep studies
+// arriving in *different* batches — different requests, different
+// connections — reuse each other's evaluations.
 //
 // Keying follows the cell layer's exactness discipline: the slot key
 // combines the tech-group hash (FNV of the group's canonical

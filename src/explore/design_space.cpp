@@ -876,14 +876,9 @@ std::uint64_t design_space_size(const core::ChipletActuary& actuary,
 
 DesignSpaceResult explore_design_space(const core::ChipletActuary& actuary,
                                        const DesignSpaceConfig& config) {
-    // An attached evaluation memo must see every candidate as a lookup
-    // (the study compiler's contract), so memoised runs keep the
-    // reference scan; everything else takes the kernel path.
-    if (actuary.eval_memo() == nullptr) {
-        const Space space(actuary, config);
-        if (auto fast = explore_design_space_kernel(actuary, config, space)) {
-            return *std::move(fast);
-        }
+    const Space space(actuary, config);
+    if (auto fast = explore_design_space_kernel(actuary, config, space)) {
+        return *std::move(fast);
     }
     return explore_design_space_reference(actuary, config);
 }
@@ -971,40 +966,6 @@ DesignSpaceResult explore_design_space_reference(
     out.evaluated = out.total_candidates - out.pruned;
     std::sort(kept.begin(), kept.end(), cheaper);
     out.best = std::move(kept);
-    return out;
-}
-
-std::optional<std::vector<design::System>> design_space_systems(
-    const core::ChipletActuary& actuary, const DesignSpaceConfig& config,
-    std::size_t max_systems) {
-    const Space space(actuary, config);
-    const core::AuditConfig audit{.reticle = config.reticle};
-    const std::uint64_t begin = config.index_begin;
-    const std::uint64_t end = config.index_end == 0 ? space.size()
-                                                    : config.index_end;
-    CHIPLET_EXPECTS(end <= space.size(),
-                    "design space index_end is outside the space");
-    CHIPLET_EXPECTS(begin <= end,
-                    "design space index_begin exceeds index_end");
-
-    std::vector<design::System> out;
-    std::vector<std::size_t> node_idx;
-    std::vector<double> areas;
-    for (std::uint64_t index = begin; index < end; ++index) {
-        const Space::Coords coords = space.locate(index);
-        space.node_indices(coords, node_idx);
-        space.die_areas(coords, node_idx, areas);
-        if (config.prune) {
-            const bool oversized =
-                config.max_die_area_mm2 > 0.0 &&
-                std::any_of(areas.begin(), areas.end(), [&](double a) {
-                    return a > config.max_die_area_mm2;
-                });
-            if (oversized || !core::audit_dies_feasible(areas, audit)) continue;
-        }
-        if (out.size() >= max_systems) return std::nullopt;
-        out.push_back(space.build_system(coords, node_idx));
-    }
     return out;
 }
 

@@ -8,12 +8,12 @@
 //
 // lazily — candidates are decoded from a flat index, never materialised
 // as a list — prunes infeasible geometry (reticle/area bounds via
-// core::audit's feasibility rules) before any cost evaluation, evaluates
-// survivors in chunks on the global thread pool through
-// ChipletActuary::evaluate_batch (die-cost cache hot), and streams
-// results into a bounded top-K heap.  Million-candidate spaces run in
-// O(chunk + K) memory with a deterministic ranking that is bit-identical
-// to a serial scan for any pool size.
+// core::audit's feasibility rules) before any cost evaluation, prices
+// survivors in structure-of-arrays waves with the batch kernels
+// (src/kernels/), and streams results into a bounded top-K heap.
+// Million-candidate spaces run in O(chunk + K) memory with a
+// deterministic ranking that is bit-identical to a serial scan for any
+// pool size.
 //
 //   explore::DesignSpaceConfig config;
 //   config.nodes = {"7nm", "12nm"};
@@ -24,7 +24,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -139,13 +138,15 @@ struct DesignSpaceResult {
 /// global pool size: chunks are evaluated slot-ordered on the pool and
 /// folded into the top-K heap in enumeration order.
 ///
-/// Spaces without an attached evaluation memo run on the SoA kernel
-/// fast path (src/kernels/): candidates are lowered block-by-block into
-/// structure-of-arrays form, dies/interposers are priced with the
-/// batch kernels, and the Eq. 3-5 fold runs over whole
-/// candidate waves.  Kernel results are bit-identical to the scalar
-/// engine by policy, so ranking, accounting and every reported double
-/// match explore_design_space_reference exactly; any candidate needing
+/// Every scan first tries the SoA kernel fast path (src/kernels/):
+/// candidates are lowered block-by-block into structure-of-arrays
+/// form, dies/interposers are priced with the batch kernels, and the
+/// Eq. 3-5 fold runs over whole candidate waves.  That path builds no
+/// System and consults no evaluation memo, which is why the study
+/// compiler runs design_space and recommend opaque
+/// (explore/study_graph.h).  Kernel results are bit-identical to the
+/// scalar engine by policy, so ranking, accounting and every reported
+/// double match explore_design_space_reference exactly; any candidate needing
 /// the scalar engine's diagnostics falls back to the reference body
 /// wholesale so error messages and first-error ordering have one home.
 [[nodiscard]] DesignSpaceResult explore_design_space(
@@ -166,17 +167,5 @@ struct DesignSpaceResult {
 [[nodiscard]] design::System design_space_candidate_system(
     const core::ChipletActuary& actuary, const DesignSpaceConfig& config,
     std::uint64_t index);
-
-/// The exact systems explore_design_space would evaluate — window
-/// applied, pruned candidates skipped, enumeration order — without
-/// evaluating any of them.  This is the study compiler's cell
-/// enumeration hook: interning these systems ahead of the run turns the
-/// engine's evaluate_batch calls into memo hits.  Returns nullopt when
-/// more than `max_systems` survivors exist (the caller falls back to
-/// letting the engine stream the space itself); throws the same
-/// validation errors as explore_design_space for a bad config.
-[[nodiscard]] std::optional<std::vector<design::System>> design_space_systems(
-    const core::ChipletActuary& actuary, const DesignSpaceConfig& config,
-    std::size_t max_systems);
 
 }  // namespace chiplet::explore

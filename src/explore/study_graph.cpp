@@ -15,13 +15,12 @@ namespace chiplet::explore {
 
 namespace {
 
-/// Per-study enumeration budget.  A study whose evaluated-cell count
-/// exceeds this runs opaque instead: the engine streams the space in
-/// chunks exactly as it does standalone, and the compiler neither holds
-/// the systems in memory nor shares them.  Sized so the enumerable
-/// paper workloads (grids of hundreds, decision spaces of thousands)
-/// fit with a wide margin while a million-candidate design_space does
-/// not get materialised.
+/// Per-study enumeration budget.  A sweep whose cell count exceeds this
+/// runs opaque instead: its engine prices the grid exactly as it does
+/// standalone, and the compiler neither holds the systems in memory nor
+/// shares them.  Only re_sweep and quantity_sweep enumerate; the paper
+/// grids hold tens to hundreds of cells, so the budget only keeps an
+/// oversized user grid from being held in memory as cells.
 constexpr std::size_t kMaxCellsPerStudy = 32768;
 
 /// Enumerates the exact cost cells `spec`'s engine will price on
@@ -85,35 +84,16 @@ bool enumerate_cells(const core::ChipletActuary& effective,
                 }
                 return true;
             }
-            case StudyKind::recommend: {
-                const auto& q = std::get<DecisionQuery>(spec.config);
-                if (q.max_chiplets < 1 || q.packagings.empty()) return false;
-                const DesignSpaceConfig space = decision_space(q);
-                std::optional<std::vector<design::System>> systems =
-                    design_space_systems(effective, space,
-                                         kMaxCellsPerStudy - out.size());
-                if (!systems) return false;
-                for (design::System& system : *systems) {
-                    out.push_back({CellEval::full, std::move(system)});
-                }
-                return true;
-            }
-            case StudyKind::design_space: {
-                const auto& c = std::get<DesignSpaceConfig>(spec.config);
-                std::optional<std::vector<design::System>> systems =
-                    design_space_systems(effective, c,
-                                         kMaxCellsPerStudy - out.size());
-                if (!systems) return false;
-                for (design::System& system : *systems) {
-                    out.push_back({CellEval::full, std::move(system)});
-                }
-                return true;
-            }
             // Opaque kinds: their evaluations depend on state the
             // compiler cannot replicate cheaply — perturbed or per-month
             // libraries (monte_carlo, sensitivity, tornado, timeline),
             // adaptive bisection probes (breakeven) — or there is no
-            // cost model behind them at all (pareto).
+            // cost model behind them at all (pareto).  The design-space
+            // scans (design_space, recommend) run their own SoA kernel
+            // pass, which prices a candidate faster than building,
+            // interning and probing it as a System cell would.
+            case StudyKind::design_space:
+            case StudyKind::recommend:
             case StudyKind::monte_carlo:
             case StudyKind::sensitivity:
             case StudyKind::tornado:

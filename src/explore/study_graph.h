@@ -6,22 +6,25 @@
 //      identity, canonical JSON verified),
 //   2. the survivors group by canonical tech-override document; each
 //      group patches the base actuary once,
-//   3. each study's engine enumeration is asked for the exact cost
-//      cells (explore/cell.h) it will price; cells intern into the
-//      group's CellTable, so a cell referenced by many studies exists
-//      once —
+//   3. each sweep's (re_sweep, quantity_sweep) engine enumeration is
+//      asked for the exact cost cells (explore/cell.h) it will price;
+//      cells intern into the group's CellTable, so a cell referenced by
+//      many studies exists once —
 //
 // and then *executes* it: every group's unique cells are evaluated once,
 // contiguously and slot-ordered on the global pool, after which each
 // study runs its ordinary engine against an actuary carrying a
 // CellMemoView of the group table.  The engine's single-system
 // evaluations become memo hits, and anything the enumeration did not
-// predict (or kinds the compiler treats as opaque — monte_carlo,
-// sensitivity, tornado, breakeven, timeline, pareto) is priced by the
-// engine exactly as before.  Payloads are therefore bit-identical to
-// independent run_study calls by construction: a memo hit returns the
-// SystemCost the very same entry point produced during the cell sweep,
-// and a miss is the ordinary code path.
+// predict is priced by the engine exactly as before.  Every other kind
+// is opaque and runs its engine unmemoised, as run_study would:
+// design_space and recommend (their SoA kernel scan prices a candidate
+// several times faster than interning and probing it as a System cell),
+// monte_carlo, sensitivity, tornado, breakeven, timeline and pareto.
+// Payloads are therefore bit-identical to independent run_study calls
+// by construction: a memo hit returns the SystemCost the very same
+// entry point produced during the cell sweep, and a miss is the
+// ordinary code path.
 //
 // run_studies / run_studies_collecting route through run_study_graph;
 // plan_studies is the dry-run surface behind `actuary_cli study --plan`.
@@ -51,7 +54,7 @@ struct StudyPlanEntry {
     std::size_t duplicate_of = 0;
     /// True when the compiler could enumerate this study's cells ahead
     /// of the run.  False for the opaque kinds, for configs the engine
-    /// itself will reject, and for spaces over the enumeration budget —
+    /// itself will reject, and for grids over the enumeration budget —
     /// the study still runs, pricing its own cells.
     bool enumerable = false;
     std::uint64_t cell_refs = 0;  ///< cells the study will reference

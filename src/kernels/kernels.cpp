@@ -134,15 +134,6 @@ void die_raw_cost(double wafer_price_usd, double extra_per_mm2,
     }
 }
 
-void kgd_split(const double* raw_usd, const double* yield, double* kgd_usd,
-               double* defect_usd, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-        const double kgd = raw_usd[i] / yield[i];
-        kgd_usd[i] = kgd;
-        defect_usd[i] = kgd - raw_usd[i];
-    }
-}
-
 void scale_add(double scale, const double* a, const double* b, double* out,
                std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {

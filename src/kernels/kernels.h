@@ -109,10 +109,6 @@ void die_raw_cost(double wafer_price_usd, double extra_per_mm2,
                   const double* die_area_mm2, const double* dpw,
                   double* raw_usd, std::size_t n);
 
-/// Known-good-die split: kgd = raw / yield, defect = kgd - raw.
-void kgd_split(const double* raw_usd, const double* yield, double* kgd_usd,
-               double* defect_usd, std::size_t n);
-
 /// out = b + scale * a (multiply before add, never contracted) —
 /// the second interposer bump side and the TSV cost adjustment.
 void scale_add(double scale, const double* a, const double* b, double* out,

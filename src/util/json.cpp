@@ -149,15 +149,19 @@ void dump_string(std::string& out, const std::string& s) {
     out.push_back('"');
 }
 
+/// Integral values below 1e15 print without a decimal point; everything
+/// else as %.12g.  Golden documents and spec hashes are pinned to these
+/// bytes (tests/test_json.cpp checks them against an ostream at
+/// precision 12).
 void dump_number(std::string& out, double d) {
-    if (d == std::floor(d) && std::fabs(d) < 1e15) {
-        out += std::to_string(static_cast<long long>(d));
-        return;
-    }
-    std::ostringstream os;
-    os.precision(12);
-    os << d;
-    out += os.str();
+    char buf[32];
+    char* const last = buf + sizeof buf;
+    char* end = d == std::floor(d) && std::fabs(d) < 1e15
+                    ? std::to_chars(buf, last, static_cast<long long>(d)).ptr
+                    : std::to_chars(buf, last, d, std::chars_format::general,
+                                    12)
+                          .ptr;
+    out.append(buf, end);
 }
 
 }  // namespace

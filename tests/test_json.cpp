@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "util/error.h"
 
 namespace chiplet {
@@ -100,6 +109,46 @@ TEST(JsonDump, EscapesControlCharacters) {
 TEST(JsonDump, IntegersWithoutDecimalPoint) {
     EXPECT_EQ(JsonValue(5.0).dump(), "5");
     EXPECT_EQ(JsonValue(2.5).dump(), "2.5");
+}
+
+// The emitter's number format is pinned to the historical ostream at
+// precision 12 (integers below 1e15 printed whole): golden documents
+// and spec hashes depend on every byte of it.
+TEST(JsonDump, NumbersMatchTwelveDigitStreamFormat) {
+    const auto stream_format = [](double d) {
+        if (d == std::floor(d) && std::fabs(d) < 1e15) {
+            return std::to_string(static_cast<long long>(d));
+        }
+        std::ostringstream os;
+        os.precision(12);
+        os << d;
+        return os.str();
+    };
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    std::vector<double> corpus = {
+        0.0, -0.0, inf, -inf, std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(), 1e15, -1e15, 1e15 - 1.0,
+        999999999999.5, 0.1, 1.0 / 3.0, 123456789012.5, 1e-5, 1e-4,
+        9.99999999999949e-5, 0.000123456789012345};
+    std::mt19937_64 rng(20220715);
+    std::uniform_real_distribution<double> exponent(-20.0, 20.0);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (int i = 0; i < 100000; ++i) {
+        corpus.push_back(std::bit_cast<double>(rng()));  // every class
+        const double magnitude = std::pow(10.0, exponent(rng));
+        corpus.push_back(unit(rng) < 0.5 ? magnitude : -magnitude);
+        // Round-ish money values and subnormals.
+        corpus.push_back(std::round(magnitude * 100.0) / 100.0);
+        corpus.push_back(std::bit_cast<double>(rng() >> 12));
+    }
+    for (const double d : corpus) {
+        ASSERT_EQ(JsonValue(d).dump(), stream_format(d))
+            << "bits " << std::bit_cast<std::uint64_t>(d);
+    }
 }
 
 TEST(JsonValue, SetOverwritesWithoutDuplicatingKey) {

@@ -162,17 +162,11 @@ TEST(KernelScalarOracle, DieRawCostMatchesDieCostModel) {
 
     const std::vector<double> areas = make_areas(rng, kCases);
     const std::size_t n = areas.size();
-    std::vector<double> dpw(n), defects(n), yields(n), raw(n), kgd(n),
-        defect_cost(n);
+    std::vector<double> dpw(n), raw(n);
     dpw_classical(spec.usable_radius_mm(), spec.scribe_width_mm,
                          areas.data(), dpw.data(), n);
-    expected_defects(defect_density, areas.data(), defects.data(), n);
-    yield_from_defects(YieldKind::seeds_negative_binomial, cluster_param,
-                              defects.data(), yields.data(), n);
     die_raw_cost(spec.price_usd, bump + test, areas.data(), dpw.data(),
                         raw.data(), n);
-    kgd_split(raw.data(), yields.data(), kgd.data(), defect_cost.data(),
-                     n);
 
     std::size_t priced = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -181,14 +175,9 @@ TEST(KernelScalarOracle, DieRawCostMatchesDieCostModel) {
         const wafer::DieCostBreakdown oracle = model.evaluate(areas[i]);
         const double oracle_raw =
             oracle.raw_cost_usd + (bump + test) * areas[i];
-        const double oracle_kgd = oracle_raw / oracle.yield;
         ASSERT_TRUE(same_bits(oracle_raw, raw[i]))
             << "die_raw_cost, area=" << bits_of(areas[i])
             << " oracle=" << bits_of(oracle_raw) << " kernel=" << bits_of(raw[i]);
-        ASSERT_TRUE(same_bits(oracle_kgd, kgd[i]))
-            << "kgd_split kgd, area=" << bits_of(areas[i]);
-        ASSERT_TRUE(same_bits(oracle_kgd - oracle_raw, defect_cost[i]))
-            << "kgd_split defect share, area=" << bits_of(areas[i]);
     }
     ASSERT_GT(priced, n / 2) << "generator degenerated: most dies do not fit";
 }

@@ -5,6 +5,8 @@
 // one failing study never disturbs the rest of its batch.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <variant>
 #include <vector>
@@ -12,6 +14,8 @@
 #include "core/actuary.h"
 #include "core/scenarios.h"
 #include "explore/cell.h"
+#include "explore/design_space.h"
+#include "explore/optimizer.h"
 #include "explore/pareto.h"
 #include "explore/spec_hash.h"
 #include "explore/study.h"
@@ -64,8 +68,42 @@ StudySpec quantity_spec(const std::string& name,
     return spec;
 }
 
-/// A batch covering every kind, with deliberate cell overlap between
-/// the enumerable entries and a windowed design_space shard.
+StudySpec recommend_spec() {
+    StudySpec rec;
+    rec.name = "rec";
+    DecisionQuery dq;
+    dq.max_chiplets = 3;
+    rec.config = dq;
+    return rec;
+}
+
+StudySpec design_space_spec() {
+    StudySpec ds;
+    ds.name = "ds";
+    DesignSpaceConfig dsc;
+    dsc.module_area_mm2 = 600.0;
+    dsc.nodes = {"7nm", "12nm"};
+    dsc.chiplet_counts = {1, 2};
+    dsc.packagings = {"SoC", "MCM"};
+    dsc.top_k = 4;
+    ds.config = dsc;
+    return ds;
+}
+
+/// A dispatcher-style shard of design_space_spec(): the same space with
+/// an index window applied.
+StudySpec design_space_window_spec() {
+    StudySpec ds_win = design_space_spec();
+    ds_win.name = "ds_window";
+    auto& windowed = std::get<DesignSpaceConfig>(ds_win.config);
+    windowed.index_begin = 2;
+    windowed.index_end = 7;
+    return ds_win;
+}
+
+/// A batch covering every kind: overlapping sweeps share cells, and the
+/// design-space scans (a whole space and a windowed shard of it) run
+/// opaque next to them.
 std::vector<StudySpec> every_kind_batch() {
     std::vector<StudySpec> specs;
 
@@ -120,12 +158,7 @@ std::vector<StudySpec> every_kind_batch() {
     par.config = pc;
     specs.push_back(par);
 
-    StudySpec rec;
-    rec.name = "rec";
-    DecisionQuery dq;
-    dq.max_chiplets = 3;
-    rec.config = dq;
-    specs.push_back(rec);
+    specs.push_back(recommend_spec());
 
     StudySpec tl;
     tl.name = "tl";
@@ -136,26 +169,8 @@ std::vector<StudySpec> every_kind_batch() {
     tl.config = tlc;
     specs.push_back(tl);
 
-    StudySpec ds;
-    ds.name = "ds";
-    DesignSpaceConfig dsc;
-    dsc.module_area_mm2 = 600.0;
-    dsc.nodes = {"7nm", "12nm"};
-    dsc.chiplet_counts = {1, 2};
-    dsc.packagings = {"SoC", "MCM"};
-    dsc.top_k = 4;
-    ds.config = dsc;
-    specs.push_back(ds);
-
-    // A dispatcher-style shard of the same space: window applied, so
-    // the compiler must enumerate exactly the windowed systems.
-    StudySpec ds_win = ds;
-    ds_win.name = "ds_window";
-    DesignSpaceConfig windowed = dsc;
-    windowed.index_begin = 2;
-    windowed.index_end = 7;
-    ds_win.config = windowed;
-    specs.push_back(ds_win);
+    specs.push_back(design_space_spec());
+    specs.push_back(design_space_window_spec());
 
     return specs;
 }
@@ -350,6 +365,64 @@ TEST_F(StudyGraphTest, PlanReportsDuplicatesAndOpaqueKinds) {
     EXPECT_EQ(plan.stats.cell_refs, plan.studies[0].cell_refs);
     EXPECT_EQ(plan.stats.deduped_cells,
               plan.stats.cell_refs - plan.stats.unique_cells);
+}
+
+// The design-space scans are opaque: the compiler interns no cells for
+// them, and each runs the same kernel scan a standalone run_study does,
+// which equals the scalar reference scan exactly.
+TEST_F(StudyGraphTest, DesignSpaceScansRunOpaqueOnTheKernelPath) {
+    std::vector<StudySpec> specs;
+    StudySpec re;
+    re.name = "re";
+    re.config = small_grid();
+    specs.push_back(re);
+    specs.push_back(design_space_spec());
+    specs.push_back(design_space_window_spec());
+    specs.push_back(recommend_spec());
+
+    const StudyPlan plan = plan_studies(actuary_, specs);
+    ASSERT_EQ(plan.studies.size(), specs.size());
+    EXPECT_TRUE(plan.studies[0].enumerable);
+    for (std::size_t i = 1; i < specs.size(); ++i) {
+        EXPECT_FALSE(plan.studies[i].enumerable) << specs[i].name;
+        EXPECT_EQ(plan.studies[i].cell_refs, 0u) << specs[i].name;
+        EXPECT_EQ(plan.studies[i].new_cells, 0u) << specs[i].name;
+    }
+    EXPECT_EQ(plan.stats.cell_refs, plan.studies[0].cell_refs);
+
+    const std::vector<StudyResult> batch = run_studies(actuary_, specs);
+    ASSERT_EQ(batch.size(), specs.size());
+    const JsonDiffOptions exact = exact_options();
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(json_diff(to_json(batch[i]),
+                            to_json(run_study(actuary_, specs[i])), exact),
+                  "")
+            << specs[i].name;
+    }
+    for (std::size_t i = 1; i <= 2; ++i) {
+        StudyResult reference = batch[i];
+        reference.payload = explore_design_space_reference(
+            actuary_, std::get<DesignSpaceConfig>(specs[i].config));
+        EXPECT_EQ(json_diff(to_json(batch[i]), to_json(reference), exact), "")
+            << specs[i].name;
+    }
+
+    const auto& options = std::get<Recommendation>(batch[3].payload).options;
+    const DesignSpaceResult decision = explore_design_space_reference(
+        actuary_, decision_space(std::get<DecisionQuery>(specs[3].config)));
+    ASSERT_EQ(options.size(), decision.best.size());
+    for (std::size_t j = 0; j < options.size(); ++j) {
+        const DesignCandidate& want = decision.best[j];
+        EXPECT_EQ(options[j].space_index, want.index) << j;
+        EXPECT_EQ(options[j].packaging, want.packaging) << j;
+        EXPECT_EQ(options[j].chiplets, want.chiplets) << j;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(options[j].re_per_unit),
+                  std::bit_cast<std::uint64_t>(want.re_per_unit))
+            << j;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(options[j].nre_per_unit),
+                  std::bit_cast<std::uint64_t>(want.nre_per_unit))
+            << j;
+    }
 }
 
 // ---- failure isolation ------------------------------------------------------

@@ -35,6 +35,21 @@ double seconds_since(Clock::time_point start) {
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+/// Best (smallest) wall time of five runs of `run`, each storing its
+/// result in `out`, so one preempted sample does not read as a
+/// regression.
+template <class Result, class Run>
+double best_of_five(Result& out, Run&& run) {
+    double best = 0.0;
+    for (int sample = 0; sample < 5; ++sample) {
+        const Clock::time_point start = Clock::now();
+        out = run();
+        const double wall = seconds_since(start);
+        if (sample == 0 || wall < best) best = wall;
+    }
+    return best;
+}
+
 /// A deliberately oversized workload: 2,000 mm^2 of 5 nm-equivalent
 /// logic.  Coarse-node assignments inflate slice areas past the reticle
 /// field, so a healthy share of the space is pruned before evaluation —
@@ -90,42 +105,33 @@ int main(int argc, char** argv) {
     // Scalar per-candidate reference: the pre-kernel evaluation path the
     // SoA lowering must reproduce bit-for-bit and outrun.
     ThreadPool::set_global_threads(1);
-    auto start = Clock::now();
+    const Clock::time_point start = Clock::now();
     const explore::DesignSpaceResult reference =
         explore::explore_design_space_reference(actuary, config);
     const double reference_s = seconds_since(start);
     const double reference_cps =
         reference_s > 0.0 ? static_cast<double>(space) / reference_s : 0.0;
 
-    // Kernel path: one untimed warm-up pass, then serial and parallel.
-    (void)explore::explore_design_space(actuary, config);
-    start = Clock::now();
-    const explore::DesignSpaceResult serial =
-        explore::explore_design_space(actuary, config);
-    const double serial_s = seconds_since(start);
+    // Kernel path, serial then parallel, each the best of five ~25 ms
+    // samples (the first serial sample doubles as the warm-up).
+    const auto scan = [&] { return explore::explore_design_space(actuary, config); };
+    explore::DesignSpaceResult serial;
+    const double serial_s = best_of_five(serial, scan);
 
     // Server path: the same space as one design_space study through the
     // study compiler (run_studies), serial like the timing above so the
-    // two rates compare directly.  Best of five ~25 ms samples, so a
-    // preempted sample does not read as a regression.
+    // two rates compare directly.
     explore::StudySpec spec;
     spec.name = "design_space";
     spec.config = config;
     const std::vector<explore::StudySpec> batch{spec};
     std::vector<explore::StudyResult> graph;
-    double graph_s = 0.0;
-    for (int sample = 0; sample < 5; ++sample) {
-        start = Clock::now();
-        graph = explore::run_studies(actuary, batch);
-        const double wall = seconds_since(start);
-        if (sample == 0 || wall < graph_s) graph_s = wall;
-    }
+    const double graph_s =
+        best_of_five(graph, [&] { return explore::run_studies(actuary, batch); });
 
     ThreadPool::set_global_threads(threads);
-    start = Clock::now();
-    const explore::DesignSpaceResult parallel =
-        explore::explore_design_space(actuary, config);
-    const double parallel_s = seconds_since(start);
+    explore::DesignSpaceResult parallel;
+    const double parallel_s = best_of_five(parallel, scan);
 
     const bool identical = identical_results(reference, serial) &&
                            identical_results(reference, parallel);

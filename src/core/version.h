@@ -29,7 +29,7 @@ class ChipletActuary;
 
 /// Bump when the cost equations, result schema, or cache codec change
 /// in any way that invalidates persisted results.
-inline constexpr int kModelSchemaVersion = 1;
+inline constexpr int kModelSchemaVersion = 2;
 
 /// Fingerprint of the model `actuary` evaluates with (schema + ledger
 /// vocabulary + assumptions + full tech library).  Deterministic across

@@ -1,10 +1,10 @@
 #include "explore/breakeven.h"
 
 #include <cmath>
+#include <utility>
 
 #include "core/scenarios.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace chiplet::explore {
 
@@ -43,17 +43,6 @@ double total_cost(const core::ChipletActuary& actuary, const std::string& node,
         .total_per_unit();
 }
 
-/// Evaluates the (SoC, alternative) cost pair concurrently: the bisection
-/// itself is inherently serial, but each probe's two evaluations are not.
-std::pair<double, double> soc_alt_pair(const std::function<double()>& soc,
-                                       const std::function<double()>& alt) {
-    double costs[2] = {0.0, 0.0};
-    util::ThreadPool::global().parallel_for(2, [&](std::size_t i) {
-        costs[i] = i == 0 ? soc() : alt();
-    });
-    return {costs[0], costs[1]};
-}
-
 }  // namespace
 
 Breakeven breakeven_quantity(const core::ChipletActuary& actuary,
@@ -62,15 +51,10 @@ Breakeven breakeven_quantity(const core::ChipletActuary& actuary,
                              double d2d_fraction, double qty_lo, double qty_hi) {
     CHIPLET_EXPECTS(qty_lo > 0.0 && qty_lo < qty_hi, "invalid quantity range");
     const auto costs_at = [&](double q) {
-        return soc_alt_pair(
-            [&] {
-                return total_cost(actuary, node, module_area_mm2, 1, "SoC",
-                                  d2d_fraction, q);
-            },
-            [&] {
-                return total_cost(actuary, node, module_area_mm2, chiplets,
-                                  packaging, d2d_fraction, q);
-            });
+        const double soc =
+            total_cost(actuary, node, module_area_mm2, 1, "SoC", d2d_fraction, q);
+        return std::pair{soc, total_cost(actuary, node, module_area_mm2, chiplets,
+                                         packaging, d2d_fraction, q)};
     };
     const auto diff = [&](double log_q) {
         const auto [soc, alt] = costs_at(std::exp(log_q));
@@ -126,18 +110,14 @@ Breakeven breakeven_area(const core::ChipletActuary& actuary,
                          const std::string& packaging, double d2d_fraction,
                          double area_lo, double area_hi) {
     CHIPLET_EXPECTS(area_lo > 0.0 && area_lo < area_hi, "invalid area range");
+    const auto re_total = [&](const design::System& system) {
+        return actuary.evaluate_re_only(system).re.total();
+    };
     const auto costs_at = [&](double area) {
-        return soc_alt_pair(
-            [&] {
-                const design::System soc =
-                    core::monolithic_soc("soc", node, area, 1e6);
-                return actuary.evaluate_re_only(soc).re.total();
-            },
-            [&] {
-                const design::System alt = core::split_system(
-                    "alt", node, packaging, area, chiplets, d2d_fraction, 1e6);
-                return actuary.evaluate_re_only(alt).re.total();
-            });
+        const double soc = re_total(core::monolithic_soc("soc", node, area, 1e6));
+        return std::pair{soc, re_total(core::split_system("alt", node, packaging,
+                                                          area, chiplets,
+                                                          d2d_fraction, 1e6))};
     };
     const auto diff = [&](double area) {
         const auto [soc, alt] = costs_at(area);

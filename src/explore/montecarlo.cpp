@@ -34,44 +34,57 @@ LibrarySampler default_sampler(const std::string& node,
     };
 }
 
-McResult monte_carlo(const core::ChipletActuary& actuary,
-                     const design::System& system, const LibrarySampler& sampler,
-                     unsigned n, std::uint64_t seed) {
+namespace {
+
+/// The one per-draw loop.  Draw i takes RNG stream (seed, i) split off
+/// the master seed, copies the library once, calls the sampler once and
+/// prices `system` and, when given, `rival` under that draw.  Slot i
+/// belongs to draw i, so the result is the same whatever the pool size.
+McStudyOutcome price_draws(const core::ChipletActuary& actuary,
+                           const design::System& system,
+                           const design::System* rival,
+                           const LibrarySampler& sampler, unsigned n,
+                           std::uint64_t seed) {
     CHIPLET_EXPECTS(n > 0, "need at least one draw");
-    // Draw i samples from its own RNG stream split off the master seed,
-    // so the sample vector is the same whatever the pool size.
-    McResult out;
-    out.samples = util::ThreadPool::global().parallel_map<double>(
+    std::vector<char> won(rival != nullptr ? n : 0);
+    McStudyOutcome out;
+    McResult& mc = out.mc;
+    mc.samples = util::ThreadPool::global().parallel_map<double>(
         n, [&](std::size_t i) {
             Rng rng = Rng::stream(seed, i);
             core::ChipletActuary draw(actuary.library(), actuary.assumptions());
             sampler(draw.library(), rng);
-            return draw.evaluate(system).total_per_unit();
+            const double cost = draw.evaluate(system).total_per_unit();
+            if (rival != nullptr) {
+                won[i] = cost < draw.evaluate(*rival).total_per_unit();
+            }
+            return cost;
         });
-    out.mean = mean(out.samples);
-    out.stddev = stddev(out.samples);
-    out.p05 = percentile(out.samples, 5.0);
-    out.p50 = percentile(out.samples, 50.0);
-    out.p95 = percentile(out.samples, 95.0);
+    mc.mean = mean(mc.samples);
+    mc.stddev = stddev(mc.samples);
+    mc.p05 = percentile(mc.samples, 5.0);
+    mc.p50 = percentile(mc.samples, 50.0);
+    mc.p95 = percentile(mc.samples, 95.0);
+    if (rival != nullptr) {
+        out.has_compare = true;
+        out.win_rate = static_cast<double>(std::count(won.begin(), won.end(), 1)) /
+                       static_cast<double>(n);
+    }
     return out;
+}
+
+}  // namespace
+
+McResult monte_carlo(const core::ChipletActuary& actuary,
+                     const design::System& system, const LibrarySampler& sampler,
+                     unsigned n, std::uint64_t seed) {
+    return price_draws(actuary, system, nullptr, sampler, n, seed).mc;
 }
 
 double win_rate(const core::ChipletActuary& actuary, const design::System& a,
                 const design::System& b, const LibrarySampler& sampler,
                 unsigned n, std::uint64_t seed) {
-    CHIPLET_EXPECTS(n > 0, "need at least one draw");
-    const std::vector<char> won = util::ThreadPool::global().parallel_map<char>(
-        n, [&](std::size_t i) {
-            Rng rng = Rng::stream(seed, i);
-            core::ChipletActuary draw(actuary.library(), actuary.assumptions());
-            sampler(draw.library(), rng);
-            const double cost_a = draw.evaluate(a).total_per_unit();
-            const double cost_b = draw.evaluate(b).total_per_unit();
-            return static_cast<char>(cost_a < cost_b);
-        });
-    unsigned wins = 0;
-    for (char w : won) wins += static_cast<unsigned>(w);
-    return static_cast<double>(wins) / static_cast<double>(n);
+    return price_draws(actuary, a, &b, sampler, n, seed).win_rate;
 }
 
 McStudyOutcome run_monte_carlo(const core::ChipletActuary& actuary,
@@ -80,16 +93,13 @@ McStudyOutcome run_monte_carlo(const core::ChipletActuary& actuary,
         config.scenario.node, config.scenario.packaging, config.spread);
     const design::System system =
         config.scenario.build(actuary.library(), "mc");
-    McStudyOutcome out;
-    out.mc = monte_carlo(actuary, system, sampler, config.draws, config.seed);
+    std::optional<design::System> rival;
     if (config.compare) {
-        const design::System rival =
-            config.compare->build(actuary.library(), "mc_compare");
-        out.has_compare = true;
-        out.win_rate =
-            win_rate(actuary, system, rival, sampler, config.draws, config.seed);
+        rival = config.compare->build(actuary.library(), "mc_compare");
     }
-    return out;
+    // One pass: the samples and the win rate come from the same draws.
+    return price_draws(actuary, system, rival ? &*rival : nullptr, sampler,
+                       config.draws, config.seed);
 }
 
 }  // namespace chiplet::explore

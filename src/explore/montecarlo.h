@@ -72,8 +72,10 @@ struct McStudyOutcome {
 
 /// Runs the declarative form: builds both systems against the actuary's
 /// library, samples with default_sampler(scenario.node,
-/// scenario.packaging, spread).  Bit-identical to the typed calls with
-/// the same inputs.
+/// scenario.packaging, spread).  With `compare` set, one pass prices
+/// both systems under each draw, and the samples and the win rate come
+/// from the same draws.  Bit-identical to the typed calls with the same
+/// inputs.
 [[nodiscard]] McStudyOutcome run_monte_carlo(const core::ChipletActuary& actuary,
                                              const McStudyConfig& config);
 

@@ -302,8 +302,6 @@ template <class Ar>
 void io(Ar& ar, StudyRunInfo& v) {
     ar.real(v.wall_seconds);
     io_unsigned(ar, v.threads);
-    ar.u64(v.cache_hits);
-    ar.u64(v.cache_misses);
     ar.boolean(v.from_cache);
     ar.boolean(v.with_ledgers);
     ar.u64(v.cell_hits);

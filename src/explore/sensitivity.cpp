@@ -61,6 +61,20 @@ std::vector<ParameterHandle> default_parameters(const std::string& node,
     return out;
 }
 
+namespace {
+
+/// Per-unit total cost of `system` on a copy of the library with
+/// parameter `p` set to `value`.
+double cost_with(const core::ChipletActuary& actuary,
+                 const design::System& system, const ParameterHandle& p,
+                 double value) {
+    core::ChipletActuary perturbed(actuary.library(), actuary.assumptions());
+    p.set(perturbed.library(), value);
+    return perturbed.evaluate(system).total_per_unit();
+}
+
+}  // namespace
+
 double TornadoEntry::swing() const { return std::fabs(cost_high - cost_low); }
 
 std::vector<TornadoEntry> tornado_analysis(
@@ -77,14 +91,10 @@ std::vector<TornadoEntry> tornado_analysis(
                 TornadoEntry entry;
                 entry.parameter = p.name;
                 entry.base_value = p.get(actuary.library());
-                const auto cost_at = [&](double value) {
-                    core::ChipletActuary perturbed(actuary.library(),
-                                                   actuary.assumptions());
-                    p.set(perturbed.library(), value);
-                    return perturbed.evaluate(system).total_per_unit();
-                };
-                entry.cost_low = cost_at(entry.base_value * (1.0 - rel_range));
-                entry.cost_high = cost_at(entry.base_value * (1.0 + rel_range));
+                entry.cost_low = cost_with(actuary, system, p,
+                                           entry.base_value * (1.0 - rel_range));
+                entry.cost_high = cost_with(actuary, system, p,
+                                            entry.base_value * (1.0 + rel_range));
                 return entry;
             });
     std::stable_sort(out.begin(), out.end(),
@@ -111,15 +121,10 @@ std::vector<SensitivityEntry> sensitivity_analysis(
             if (entry.base_value == 0.0) {
                 return entry;  // elasticity undefined at exactly zero
             }
-
-            const auto cost_at = [&](double value) {
-                core::ChipletActuary perturbed(actuary.library(),
-                                               actuary.assumptions());
-                p.set(perturbed.library(), value);
-                return perturbed.evaluate(system).total_per_unit();
-            };
-            const double up = cost_at(entry.base_value * (1.0 + rel_step));
-            const double down = cost_at(entry.base_value * (1.0 - rel_step));
+            const double up =
+                cost_with(actuary, system, p, entry.base_value * (1.0 + rel_step));
+            const double down =
+                cost_with(actuary, system, p, entry.base_value * (1.0 - rel_step));
             entry.perturbed_cost = up;
             entry.elasticity = ((up - down) / base_cost) / (2.0 * rel_step);
             return entry;

@@ -11,7 +11,6 @@
 #include "util/error.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
-#include "wafer/die_cost_cache.h"
 
 namespace chiplet::explore {
 
@@ -362,8 +361,6 @@ StudyKind study_kind_from_string(const std::string& s) {
 StudyResult run_study_on(const core::ChipletActuary& effective,
                          const StudySpec& spec) {
     const auto start = std::chrono::steady_clock::now();
-    const wafer::DieCostCache::Stats before =
-        wafer::DieCostCache::global().stats();
 
     StudyResult out;
     out.name = spec.name;
@@ -374,13 +371,10 @@ StudyResult run_study_on(const core::ChipletActuary& effective,
     out.table = make_table(out.payload, spec.config);
     if (spec.explain) attach_ledgers(effective, spec, out);
 
-    const wafer::DieCostCache::Stats after = wafer::DieCostCache::global().stats();
     out.run.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
     out.run.threads = util::ThreadPool::global().size();
-    out.run.cache_hits = after.hits - before.hits;
-    out.run.cache_misses = after.misses - before.misses;
     return out;
 }
 

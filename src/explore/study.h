@@ -100,16 +100,12 @@ using StudyPayload =
                  TimelineOutcome,                  // timeline
                  DesignSpaceResult>;               // design_space
 
-/// Run metadata.  Wall time and cache counters are measurement, not
-/// model output: they vary run to run and are excluded from the
-/// bit-identical guarantee (and from golden-file comparisons).  Cache
-/// counters are deltas of the process-global die-cost cache, so they
-/// are only exact when one study runs at a time.
+/// Run metadata.  Wall time and the counters below are measurement,
+/// not model output: they vary run to run and are excluded from the
+/// bit-identical guarantee (and from golden-file comparisons).
 struct StudyRunInfo {
     double wall_seconds = 0.0;
     unsigned threads = 0;  ///< global pool size during the run
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
     /// True when the whole result was served from a StudyCache
     /// (explore/study_cache.h) instead of being evaluated; the payload
     /// and table are still bit-identical to a fresh run_study.
@@ -128,12 +124,6 @@ struct StudyRunInfo {
     /// True when this result was copied from a byte-identical spec
     /// earlier in the same batch instead of being evaluated again.
     bool from_batch_dedup = false;
-
-    [[nodiscard]] double cache_hit_rate() const {
-        const double total =
-            static_cast<double>(cache_hits) + static_cast<double>(cache_misses);
-        return total > 0.0 ? static_cast<double>(cache_hits) / total : 0.0;
-    }
 };
 
 /// Uniform tabular view: every study kind flattens into columns + rows

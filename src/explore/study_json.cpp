@@ -669,9 +669,6 @@ JsonValue to_json(const StudyResult& result) {
     JsonValue meta = JsonValue::object();
     meta.set("wall_seconds", result.run.wall_seconds);
     meta.set("threads", result.run.threads);
-    meta.set("cache_hits", static_cast<double>(result.run.cache_hits));
-    meta.set("cache_misses", static_cast<double>(result.run.cache_misses));
-    meta.set("cache_hit_rate", result.run.cache_hit_rate());
     meta.set("from_cache", result.run.from_cache);
     meta.set("with_ledgers", result.run.with_ledgers);
     // Batch cell-memo counters of the study compiler

@@ -2,7 +2,6 @@
 
 #include "core/scenarios.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace chiplet::explore {
 
@@ -23,29 +22,25 @@ std::vector<ReSweepPoint> sweep_re_grid(const core::ChipletActuary& actuary,
                                         const ReSweepConfig& config) {
     CHIPLET_EXPECTS(!config.nodes.empty() && !config.areas_mm2.empty(),
                     "sweep axes must not be empty");
-    util::ThreadPool& pool = util::ThreadPool::global();
 
-    // Per-node normalisation baselines (one SoC evaluation each).  The
-    // baseline system is named "soc" — the same name sweep_cell_system
-    // gives grid SoC cells — so a grid that includes the normalisation
-    // area shares the baseline's cost cell under the study compiler
+    // One batch: the per-node normalisation baselines (one SoC each)
+    // first, so a failing baseline is still the lowest-index error,
+    // then the grid cells in the serial loop order
+    // (node > area > packaging > chiplets).  The baseline system is
+    // named "soc" — the same name sweep_cell_system gives grid SoC
+    // cells — so a grid that includes the normalisation area shares the
+    // baseline's cost cell under the study compiler
     // (explore/study_graph.h).  Only re.total() is read, so the name is
     // unobservable in the payload.
-    const std::vector<double> baselines = pool.parallel_map<double>(
-        config.nodes.size(), [&](std::size_t i) {
-            return actuary
-                .evaluate_re_only(core::monolithic_soc(
-                    "soc", config.nodes[i], config.normalization_area_mm2, 1e6))
-                .re.total();
-        });
-
-    // Flatten the grid into cells in the serial loop order
-    // (node > area > packaging > chiplets), then evaluate the batch; slot i
-    // keeps cell i, so the output order matches the serial implementation.
+    const std::size_t n_nodes = config.nodes.size();
     std::vector<design::System> systems;
+    for (const std::string& node : config.nodes) {
+        systems.push_back(core::monolithic_soc(
+            "soc", node, config.normalization_area_mm2, 1e6));
+    }
     std::vector<std::size_t> node_indices;
     std::vector<ReSweepPoint> out;
-    for (std::size_t ni = 0; ni < config.nodes.size(); ++ni) {
+    for (std::size_t ni = 0; ni < n_nodes; ++ni) {
         const std::string& node = config.nodes[ni];
         for (double area : config.areas_mm2) {
             for (const std::string& packaging : config.packagings) {
@@ -70,10 +65,13 @@ std::vector<ReSweepPoint> sweep_re_grid(const core::ChipletActuary& actuary,
         }
     }
 
-    pool.parallel_for(systems.size(), [&](std::size_t i) {
-        out[i].re = actuary.evaluate_re_only(systems[i]).re;
-        out[i].normalized = out[i].re.total() / baselines[node_indices[i]];
-    });
+    const std::vector<core::SystemCost> costs =
+        actuary.evaluate_re_only_batch(systems);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        out[i].re = costs[n_nodes + i].re;
+        out[i].normalized =
+            out[i].re.total() / costs[node_indices[i]].re.total();
+    }
     return out;
 }
 

@@ -25,6 +25,19 @@ std::vector<TimelinePoint> cost_trajectory(const core::ChipletActuary& actuary,
     return out;
 }
 
+namespace {
+
+/// First sampled month at which trajectory `a` is at most `b`.
+double first_crossover(const std::vector<TimelinePoint>& a,
+                       const std::vector<TimelinePoint>& b) {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (a[i].unit_cost <= b[i].unit_cost) return a[i].month;
+    }
+    return -1.0;
+}
+
+}  // namespace
+
 double crossover_month(const core::ChipletActuary& actuary,
                        const design::System& a, const design::System& b,
                        const std::string& node,
@@ -32,12 +45,8 @@ double crossover_month(const core::ChipletActuary& actuary,
                        double step_months) {
     const auto traj_a =
         cost_trajectory(actuary, a, node, curve, months, step_months);
-    const auto traj_b =
-        cost_trajectory(actuary, b, node, curve, months, step_months);
-    for (std::size_t i = 0; i < traj_a.size(); ++i) {
-        if (traj_a[i].unit_cost <= traj_b[i].unit_cost) return traj_a[i].month;
-    }
-    return -1.0;
+    return first_crossover(
+        traj_a, cost_trajectory(actuary, b, node, curve, months, step_months));
 }
 
 TimelineOutcome run_timeline(const core::ChipletActuary& actuary,
@@ -54,9 +63,10 @@ TimelineOutcome run_timeline(const core::ChipletActuary& actuary,
         const design::System rival =
             config.compare->build(actuary.library(), "timeline_compare");
         out.has_compare = true;
-        out.crossover_month =
-            crossover_month(actuary, system, rival, config.scenario.node, curve,
-                            config.months, config.step_months);
+        out.crossover_month = first_crossover(
+            out.trajectory,
+            cost_trajectory(actuary, rival, config.scenario.node, curve,
+                            config.months, config.step_months));
     }
     return out;
 }

@@ -75,8 +75,7 @@ void add_study(HtmlReport& html, const explore::StudyResult& result) {
         result.run.cell_hits + result.run.cell_misses;
     html.add_paragraph(
         format_fixed(result.run.wall_seconds * 1e3, 1) + " ms on " +
-        std::to_string(result.run.threads) + " threads, die-cost cache hit rate " +
-        format_pct(result.run.cache_hit_rate()) +
+        std::to_string(result.run.threads) + " threads" +
         (cell_total > 0
              ? ", " + std::to_string(result.run.cell_hits) + "/" +
                    std::to_string(cell_total) + " cells from the batch graph"

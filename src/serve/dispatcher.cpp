@@ -304,9 +304,6 @@ JsonValue Dispatcher::run_sharded(const core::ChipletActuary& actuary,
     JsonValue meta = JsonValue::object();
     meta.set("wall_seconds", wall_seconds);
     meta.set("threads", static_cast<unsigned>(shards.size()));
-    meta.set("cache_hits", 0.0);
-    meta.set("cache_misses", 0.0);
-    meta.set("cache_hit_rate", 0.0);
     meta.set("from_cache", false);
     meta.set("with_ledgers", false);
 

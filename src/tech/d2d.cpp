@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "util/error.h"
+#include "util/json.h"
 
 namespace chiplet::tech {
 
@@ -44,9 +45,9 @@ double d2d_fraction_for_bandwidth(const PackagingTech& tech, double die_area_mm2
     if (!sizing.feasible) {
         throw ParameterError(
             "technology '" + tech.name + "' cannot escape " +
-            std::to_string(bandwidth_gbps) + " Gbps from a " +
-            std::to_string(die_area_mm2) + " mm^2 die (limit " +
-            std::to_string(sizing.max_bandwidth_gbps) + " Gbps)");
+            exact_number_string(bandwidth_gbps) + " Gbps from a " +
+            exact_number_string(die_area_mm2) + " mm^2 die (limit " +
+            exact_number_string(sizing.max_bandwidth_gbps) + " Gbps)");
     }
     return sizing.area_fraction;
 }

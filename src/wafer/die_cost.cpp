@@ -1,6 +1,7 @@
 #include "wafer/die_cost.h"
 
 #include "util/error.h"
+#include "util/json.h"
 #include "wafer/die_per_wafer.h"
 
 namespace chiplet::wafer {
@@ -36,7 +37,7 @@ DieCostBreakdown DieCostModel::evaluate(double die_area_mm2) const {
     DieCostBreakdown out;
     out.dies_per_wafer = dpw_classical(spec_, die_area_mm2);
     if (out.dies_per_wafer <= 0.0) {
-        throw ParameterError("die of " + std::to_string(die_area_mm2) +
+        throw ParameterError("die of " + exact_number_string(die_area_mm2) +
                              " mm^2 does not fit on the wafer");
     }
     out.yield = die_yield(die_area_mm2);

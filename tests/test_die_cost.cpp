@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <regex>
+#include <string>
+
 #include "util/error.h"
 #include "yield/models.h"
 
@@ -85,8 +89,33 @@ TEST(DieCostModel, InvalidConstructionThrows) {
     EXPECT_THROW(DieCostModel(wafer_5nm(), 0.1, nullptr), ParameterError);
 }
 
+/// Longest mantissa, in significant digits, of any number in `text`.
+std::size_t longest_mantissa(const std::string& text) {
+    static const std::regex number(R"(([0-9]+)(\.([0-9]+))?)");
+    std::size_t longest = 0;
+    for (auto it = std::sregex_iterator(text.begin(), text.end(), number);
+         it != std::sregex_iterator(); ++it) {
+        std::string digits = (*it)[1].str() + (*it)[3].str();
+        digits.erase(0, digits.find_first_not_of('0'));
+        longest = std::max(longest, digits.size());
+    }
+    return longest;
+}
+
 TEST(DieCostModel, OversizedDieThrows) {
-    EXPECT_THROW((void)model_5nm().evaluate(80000.0), ParameterError);
+    // The message prints the area as its shortest round-trip decimal,
+    // never as a fixed-point expansion of a huge value.
+    for (const double area : {80000.0, 1e300}) {
+        try {
+            (void)model_5nm().evaluate(area);
+            ADD_FAILURE() << "no error for " << area << " mm^2";
+        } catch (const ParameterError& e) {
+            const std::string message = e.what();
+            EXPECT_NE(message.find("does not fit on the wafer"), std::string::npos)
+                << message;
+            EXPECT_LE(longest_mantissa(message), 17u) << message;
+        }
+    }
     EXPECT_THROW((void)model_5nm().evaluate(0.0), ParameterError);
 }
 

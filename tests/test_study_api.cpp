@@ -19,6 +19,7 @@
 #include "explore/sweep.h"
 #include "explore/timeline.h"
 #include "util/error.h"
+#include "util/math.h"
 #include "util/thread_pool.h"
 
 namespace chiplet::explore {
@@ -292,28 +293,94 @@ TEST_F(StudyEquivalence, QuantitySweep) {
     }
 }
 
-TEST_F(StudyEquivalence, MonteCarloWithWinRate) {
-    McStudyConfig config;
-    config.scenario = mcm_scenario();
-    config.compare = soc_scenario();
-    config.draws = 64;
-    config.seed = 7;
-    StudySpec spec;
-    spec.name = "mc";
-    spec.config = config;
-    const StudyResult result = run_study(actuary_, spec);
-    const auto& outcome = std::get<McStudyOutcome>(result.payload);
+/// Test-local oracle for the monte_carlo study: a plain per-draw loop
+/// (RNG stream, library copy, default_sampler, evaluate both systems)
+/// that shares nothing with explore/montecarlo.cpp but the sampler.
+struct McOracle {
+    std::vector<double> samples;
+    double win_rate = 0.0;
+};
 
-    const design::System mcm =
-        core::split_system("mc", "5nm", "MCM", 800.0, 2, 0.10, 2e6);
-    const design::System soc = core::monolithic_soc("mc_compare", "5nm", 800.0, 2e6);
-    const LibrarySampler sampler = default_sampler("5nm", "MCM", 0.3);
-    const McResult legacy = monte_carlo(actuary_, mcm, sampler, 64, 7);
-    ASSERT_EQ(outcome.mc.samples.size(), legacy.samples.size());
-    EXPECT_EQ(outcome.mc.samples, legacy.samples);  // bit-identical
-    EXPECT_EQ(outcome.mc.mean, legacy.mean);
-    EXPECT_TRUE(outcome.has_compare);
-    EXPECT_EQ(outcome.win_rate, win_rate(actuary_, mcm, soc, sampler, 64, 7));
+McOracle mc_oracle(const core::ChipletActuary& actuary,
+                   const McStudyConfig& config) {
+    const design::System system = config.scenario.build(actuary.library(), "mc");
+    const design::System rival =
+        config.compare->build(actuary.library(), "mc_compare");
+    const LibrarySampler sampler = default_sampler(
+        config.scenario.node, config.scenario.packaging, config.spread);
+    McOracle out;
+    unsigned wins = 0;
+    for (unsigned i = 0; i < config.draws; ++i) {
+        Rng rng = Rng::stream(config.seed, i);
+        tech::TechLibrary lib = actuary.library();
+        sampler(lib, rng);
+        const core::ChipletActuary draw(std::move(lib), actuary.assumptions());
+        const double cost = draw.evaluate(system).total_per_unit();
+        if (cost < draw.evaluate(rival).total_per_unit()) ++wins;
+        out.samples.push_back(cost);
+    }
+    out.win_rate = static_cast<double>(wins) / static_cast<double>(config.draws);
+    return out;
+}
+
+TEST_F(StudyEquivalence, MonteCarloMatchesPerDrawOracle) {
+    // Two rivals per scenario: the SoC, whose win rate lies inside (0, 1)
+    // for some configs, and a near twin with a larger D2D share, which
+    // loses every draw priced under the scenario's own draw but about
+    // half of them under any other draw.
+    const unsigned restore = util::ThreadPool::global().size();
+    for (const unsigned threads : {1u, 4u}) {
+        util::ThreadPool::set_global_threads(threads);
+        for (const char* packaging : {"MCM", "InFO", "2.5D"}) {
+            for (const char* model :
+                 {"poisson", "murphy", "seeds_exponential",
+                  "seeds_negative_binomial", "bose_einstein"}) {
+                core::Assumptions assumptions;
+                assumptions.yield_model = model;
+                const core::ChipletActuary actuary(actuary_.library(),
+                                                   assumptions);
+                McStudyConfig config;
+                config.scenario = mcm_scenario();
+                config.scenario.packaging = packaging;
+                config.scenario.module_area_mm2 = 600.0;
+                ScenarioSpec soc = config.scenario;
+                soc.packaging = "SoC";
+                ScenarioSpec twin = config.scenario;
+                twin.d2d_fraction = 0.11;
+                for (const bool near_twin : {false, true}) {
+                    config.compare = near_twin ? twin : soc;
+                    for (const unsigned draws : {1u, 7u, 1024u}) {
+                        SCOPED_TRACE(std::string(packaging) + " " + model +
+                                     (near_twin ? " vs twin" : " vs SoC") +
+                                     " draws " +
+                                     std::to_string(draws) + " threads " +
+                                     std::to_string(threads));
+                        config.draws = draws;
+                        config.seed = 7 + draws;
+                        StudySpec spec;
+                        spec.name = "mc";
+                        spec.config = config;
+                        const auto outcome = std::get<McStudyOutcome>(
+                            run_study(actuary, spec).payload);
+                        const McOracle expect = mc_oracle(actuary, config);
+
+                        EXPECT_EQ(outcome.mc.samples, expect.samples);
+                        EXPECT_EQ(outcome.mc.mean, mean(expect.samples));
+                        EXPECT_EQ(outcome.mc.stddev, stddev(expect.samples));
+                        EXPECT_EQ(outcome.mc.p05, percentile(expect.samples, 5.0));
+                        EXPECT_EQ(outcome.mc.p50, percentile(expect.samples, 50.0));
+                        EXPECT_EQ(outcome.mc.p95, percentile(expect.samples, 95.0));
+                        EXPECT_TRUE(outcome.has_compare);
+                        EXPECT_EQ(outcome.win_rate, expect.win_rate);
+                        if (near_twin) {
+                            EXPECT_EQ(outcome.win_rate, 1.0);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    util::ThreadPool::set_global_threads(restore);
 }
 
 TEST_F(StudyEquivalence, SensitivityAndTornado) {
